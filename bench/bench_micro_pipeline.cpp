@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the end-to-end model pipeline:
-// encoder forward passes for every model, backward pass, and one full
-// training epoch of AHNTP.
+// the train/test split, encoder forward passes for every model, backward
+// pass, and one full training epoch of AHNTP.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +8,7 @@
 #include "core/trainer.h"
 #include "data/features.h"
 #include "data/generator.h"
+#include "data/split.h"
 
 namespace {
 
@@ -49,6 +50,20 @@ PipelineFixture& Fixture() {
   static PipelineFixture* fixture = new PipelineFixture();
   return *fixture;
 }
+
+/// MakeSplit at CiaoLike scale range(0)/100; the dataset is generated off
+/// the clock.
+void BM_MakeSplit(benchmark::State& state) {
+  const double scale = static_cast<double>(state.range(0)) / 100.0;
+  const data::SocialDataset dataset =
+      data::SocialNetworkGenerator(data::GeneratorConfig::CiaoLike(scale))
+          .Generate();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(data::MakeSplit(dataset));
+  }
+  state.SetLabel(std::to_string(dataset.num_users) + " users");
+}
+BENCHMARK(BM_MakeSplit)->Arg(25)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void BM_EncoderForward(benchmark::State& state, const std::string& model) {
   PipelineFixture& fixture = Fixture();

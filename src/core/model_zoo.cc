@@ -1,5 +1,6 @@
 #include "core/model_zoo.h"
 
+#include "common/strings.h"
 #include "models/atne_trust.h"
 #include "models/gat.h"
 #include "models/guardian.h"
@@ -22,9 +23,56 @@ bool ModelNeedsHypergraph(const std::string& name) {
   return name == "UniGCN" || name == "UniGAT" || name == "HGNN+";
 }
 
+bool ModelNeedsDataset(const std::string& name) {
+  return name == "KGTrust" || name.rfind("AHNTP", 0) == 0;
+}
+
+namespace {
+
+/// Encoders dereference their inputs while constructing, so every pointer a
+/// model reads is checked here, before any of them runs.
+Status ValidateInputs(const std::string& name,
+                      const models::ModelInputs& inputs) {
+  if (inputs.features == nullptr || inputs.graph == nullptr ||
+      inputs.rng == nullptr) {
+    return Status::InvalidArgument(
+        name + ": ModelInputs needs features, graph and rng");
+  }
+  const size_t n = inputs.graph->num_nodes();
+  if (inputs.features->rows() != n) {
+    return Status::InvalidArgument(
+        StrFormat("%s: %zu feature rows for %zu graph nodes", name.c_str(),
+                  inputs.features->rows(), n));
+  }
+  if (ModelNeedsHypergraph(name)) {
+    if (inputs.hypergraph == nullptr) {
+      return Status::InvalidArgument(name + ": ModelInputs needs a hypergraph");
+    }
+    if (inputs.hypergraph->num_vertices() != n) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: %zu hypergraph vertices for %zu graph nodes", name.c_str(),
+          inputs.hypergraph->num_vertices(), n));
+    }
+  }
+  if (ModelNeedsDataset(name)) {
+    if (inputs.dataset == nullptr) {
+      return Status::InvalidArgument(name + ": ModelInputs needs a dataset");
+    }
+    if (inputs.dataset->num_users != n) {
+      return Status::InvalidArgument(
+          StrFormat("%s: %zu dataset users for %zu graph nodes", name.c_str(),
+                    inputs.dataset->num_users, n));
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Result<ModelSpec> CreateEncoder(const std::string& name,
                                 const models::ModelInputs& inputs,
                                 const AhntpConfig& ahntp_config) {
+  AHNTP_RETURN_IF_ERROR(ValidateInputs(name, inputs));
   ModelSpec spec;
   if (name == "GAT") {
     spec.encoder = std::make_shared<models::Gat>(inputs);

@@ -27,8 +27,14 @@ std::vector<std::string> AvailableModels();
 /// True for models that consume ModelInputs::hypergraph.
 bool ModelNeedsHypergraph(const std::string& name);
 
+/// True for models that consume ModelInputs::dataset (KGTrust, AHNTP*).
+bool ModelNeedsDataset(const std::string& name);
+
 /// Builds an encoder by name. `ahntp_config` parameterizes AHNTP and its
-/// ablation variants (ablations override the relevant switch).
+/// ablation variants (ablations override the relevant switch). Returns
+/// InvalidArgument, before any encoder runs, when `inputs` lacks features,
+/// graph or rng, lacks the hypergraph or dataset the model reads, or when
+/// their user counts disagree with the graph's.
 Result<ModelSpec> CreateEncoder(const std::string& name,
                                 const models::ModelInputs& inputs,
                                 const AhntpConfig& ahntp_config);

@@ -2,27 +2,63 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
+#include <unordered_set>
 
 #include "common/check.h"
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "common/trace.h"
 
 namespace ahntp::data {
 
 namespace {
 
+/// Packs an ordered (src, dst) pair into one hash-set key.
+uint64_t PairKey(int src, int dst) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(src)) << 32) |
+         static_cast<uint32_t>(dst);
+}
+
+/// Lazily computed 3-hop balls, one BFS per distinct source. Each ball keeps
+/// the BFS order of Digraph::NeighborhoodBall, so a draw from it is the same
+/// draw as from a fresh BFS.
+class BallMemo {
+ public:
+  explicit BallMemo(const graph::Digraph& graph)
+      : graph_(graph),
+        balls_(graph.num_nodes()),
+        filled_(graph.num_nodes(), false) {}
+
+  const std::vector<int>& Get(int src) {
+    const size_t u = static_cast<size_t>(src);
+    if (!filled_[u]) {
+      balls_[u] = graph_.NeighborhoodBall(src, 3);
+      balls_[u].shrink_to_fit();
+      filled_[u] = true;
+      AHNTP_METRIC_COUNT("data.split.ball_bfs", 1);
+    }
+    return balls_[u];
+  }
+
+ private:
+  const graph::Digraph& graph_;
+  std::vector<std::vector<int>> balls_;
+  std::vector<bool> filled_;
+};
+
 /// Samples `count` ordered pairs absent from `forbidden` (and non-self).
 /// A `hard_fraction` of them are drawn from within 3 undirected hops of
-/// their source in `graph` (falling back to uniform when a source has no
-/// eligible nearby target).
+/// their source (falling back to uniform when a source has no eligible
+/// nearby target).
 std::vector<TrustPair> SampleNegatives(
     size_t num_users, size_t count,
-    const std::set<std::pair<int, int>>& forbidden,
-    const graph::Digraph& graph, double hard_fraction, Rng* rng) {
+    const std::unordered_set<uint64_t>& forbidden, BallMemo* balls,
+    double hard_fraction, Rng* rng) {
   AHNTP_CHECK_GE(num_users, 2u);
   std::vector<TrustPair> negatives;
   negatives.reserve(count);
-  std::set<std::pair<int, int>> used;
+  std::unordered_set<uint64_t> used;
+  used.reserve(count);
   size_t hard_target = static_cast<size_t>(
       static_cast<double>(count) * hard_fraction);
   size_t attempts = 0;
@@ -32,7 +68,7 @@ std::vector<TrustPair> SampleNegatives(
     int src = static_cast<int>(rng->NextBounded(num_users));
     int dst = -1;
     if (negatives.size() < hard_target) {
-      std::vector<int> ball = graph.NeighborhoodBall(src, 3);
+      const std::vector<int>& ball = balls->Get(src);
       if (!ball.empty()) {
         dst = ball[static_cast<size_t>(rng->NextBounded(ball.size()))];
       }
@@ -41,7 +77,7 @@ std::vector<TrustPair> SampleNegatives(
       dst = static_cast<int>(rng->NextBounded(num_users));
     }
     if (src == dst) continue;
-    auto key = std::make_pair(src, dst);
+    const uint64_t key = PairKey(src, dst);
     if (forbidden.count(key) > 0) continue;
     if (!used.insert(key).second) continue;
     negatives.push_back({src, dst, 0.0f});
@@ -51,16 +87,13 @@ std::vector<TrustPair> SampleNegatives(
   return negatives;
 }
 
-}  // namespace
-
-namespace {
-
 /// Shared split assembly: takes positives in their final order (shuffled or
 /// chronological), slices train/test, samples negatives, and builds the
 /// labelled pair lists.
 TrustSplit BuildSplit(const SocialDataset& dataset,
                       std::vector<graph::Edge> positives,
                       const SplitOptions& options, Rng* rng_ptr) {
+  trace::TraceSpan span("data.split");
   Rng& rng = *rng_ptr;
   const size_t total = positives.size();
   const size_t num_test = static_cast<size_t>(total * options.test_fraction);
@@ -75,13 +108,16 @@ TrustSplit BuildSplit(const SocialDataset& dataset,
   split.test_positive.assign(positives.end() - static_cast<long>(num_test),
                              positives.end());
 
-  std::set<std::pair<int, int>> all_edges;
+  std::unordered_set<uint64_t> all_edges;
+  all_edges.reserve(dataset.trust_edges.size());
   for (const graph::Edge& e : dataset.trust_edges) {
-    all_edges.insert({e.src, e.dst});
+    all_edges.insert(PairKey(e.src, e.dst));
   }
   // Hard negatives are sampled from the *full* trust graph's neighbourhood
-  // structure so train and test use the same notion of "nearby non-edge".
+  // structure so train and test use the same notion of "nearby non-edge";
+  // both draw from one memo, freed when the split returns.
   graph::Digraph full_graph = dataset.TrustGraph().value();
+  BallMemo balls(full_graph);
 
   for (const graph::Edge& e : split.train_positive) {
     split.train_pairs.push_back({e.src, e.dst, 1.0f});
@@ -90,7 +126,7 @@ TrustSplit BuildSplit(const SocialDataset& dataset,
       dataset.num_users,
       split.train_positive.size() *
           static_cast<size_t>(options.train_negatives_per_positive),
-      all_edges, full_graph, options.hard_negative_fraction, &rng);
+      all_edges, &balls, options.hard_negative_fraction, &rng);
   split.train_pairs.insert(split.train_pairs.end(), train_neg.begin(),
                            train_neg.end());
   rng.Shuffle(&split.train_pairs);
@@ -102,7 +138,7 @@ TrustSplit BuildSplit(const SocialDataset& dataset,
       dataset.num_users,
       split.test_positive.size() *
           static_cast<size_t>(options.test_negatives_per_positive),
-      all_edges, full_graph, options.hard_negative_fraction, &rng);
+      all_edges, &balls, options.hard_negative_fraction, &rng);
   split.test_pairs.insert(split.test_pairs.end(), test_neg.begin(),
                           test_neg.end());
   rng.Shuffle(&split.test_pairs);

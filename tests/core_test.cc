@@ -5,8 +5,10 @@
 
 #include "core/adaptive_conv.h"
 #include "core/experiment.h"
+#include "core/model_zoo.h"
 #include "core/repeated.h"
 #include "data/generator.h"
+#include "hypergraph/builders.h"
 #include "test_util.h"
 
 namespace ahntp::core {
@@ -424,6 +426,60 @@ TEST(AhntpModelTest, ExplainUserRequiresAttention) {
   config.use_attention = false;
   AhntpModel model(Fixture().inputs(), config);
   EXPECT_DEATH(model.ExplainUser(0), "attention");
+}
+
+// ---------------------------------------------------------------------------
+// Model zoo input validation
+// ---------------------------------------------------------------------------
+
+TEST(ModelZooTest, MissingInputsReturnInvalidArgument) {
+  CoreFixture fixture;
+  const hypergraph::Hypergraph hg =
+      hypergraph::BuildPairwiseHypergroup(*fixture.inputs().graph);
+  models::ModelInputs full = fixture.inputs();
+  full.hypergraph = &hg;
+  for (const std::string& name : AvailableModels()) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(CreateEncoder(name, full, AhntpConfig{}).ok());
+    for (int missing = 0; missing < 5; ++missing) {
+      models::ModelInputs inputs = full;
+      bool needed = true;
+      if (missing == 0) inputs.features = nullptr;
+      if (missing == 1) inputs.graph = nullptr;
+      if (missing == 2) inputs.rng = nullptr;
+      if (missing == 3) {
+        inputs.hypergraph = nullptr;
+        needed = ModelNeedsHypergraph(name);
+      }
+      if (missing == 4) {
+        inputs.dataset = nullptr;
+        needed = ModelNeedsDataset(name);
+      }
+      SCOPED_TRACE(missing);
+      auto spec = CreateEncoder(name, inputs, AhntpConfig{});
+      if (needed) {
+        EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+      } else {
+        EXPECT_TRUE(spec.ok());
+      }
+    }
+  }
+}
+
+TEST(ModelZooTest, MismatchedUserCountsReturnInvalidArgument) {
+  CoreFixture fixture;
+  const Matrix short_features(fixture.inputs().features->rows() - 1,
+                              fixture.inputs().features->cols());
+  models::ModelInputs inputs = fixture.inputs();
+  inputs.features = &short_features;
+  EXPECT_EQ(CreateEncoder("GAT", inputs, AhntpConfig{}).status().code(),
+            StatusCode::kInvalidArgument);
+
+  const hypergraph::Hypergraph small_hg(3);
+  inputs = fixture.inputs();
+  inputs.hypergraph = &small_hg;
+  EXPECT_EQ(CreateEncoder("HGNN+", inputs, AhntpConfig{}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

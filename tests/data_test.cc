@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "data/features.h"
 #include "graph/motifs.h"
 #include "data/generator.h"
@@ -347,6 +349,74 @@ TEST(SplitTest, DeterministicForSeed) {
     EXPECT_EQ(a.train_pairs[i].dst, b.train_pairs[i].dst);
     EXPECT_EQ(a.train_pairs[i].label, b.train_pairs[i].label);
   }
+}
+
+/// FNV-1a over every field of the split, in order (labels by bit pattern).
+uint64_t SplitDigest(const TrustSplit& split) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint32_t word) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto* edges : {&split.train_positive, &split.test_positive}) {
+    for (const graph::Edge& e : *edges) {
+      mix(static_cast<uint32_t>(e.src));
+      mix(static_cast<uint32_t>(e.dst));
+    }
+  }
+  for (const auto* pairs : {&split.train_pairs, &split.test_pairs}) {
+    for (const TrustPair& p : *pairs) {
+      uint32_t label_bits = 0;
+      std::memcpy(&label_bits, &p.label, sizeof(label_bits));
+      mix(static_cast<uint32_t>(p.src));
+      mix(static_cast<uint32_t>(p.dst));
+      mix(label_bits);
+    }
+  }
+  return h;
+}
+
+// Digests recorded before the 3-hop balls were memoized: the memo and the
+// hash-set membership tests must leave every split bitwise unchanged.
+TEST(SplitTest, DigestPinnedAcrossMemo) {
+  SocialDataset ciao =
+      SocialNetworkGenerator(GeneratorConfig::CiaoLike(0.25)).Generate();
+  SplitOptions seed1;
+  seed1.seed = 1;
+  SplitOptions seed2;
+  seed2.seed = 2;
+  EXPECT_EQ(SplitDigest(MakeSplit(ciao, seed1)), 0xd33fae6be5be35a8ull);
+  EXPECT_EQ(SplitDigest(MakeSplit(ciao, seed2)), 0xe12a1d9a6fbc8984ull);
+  EXPECT_EQ(SplitDigest(MakeTemporalSplit(ciao, seed1)),
+            0xd19d674eae740804ull);
+  EXPECT_EQ(SplitDigest(MakeTemporalSplit(ciao, seed2)),
+            0x668f8147f539d24cull);
+
+  SocialDataset tiny = TinyDataset();
+  SplitOptions all_hard;
+  all_hard.hard_negative_fraction = 1.0;
+  EXPECT_EQ(SplitDigest(MakeSplit(tiny, all_hard)), 0x000bf944e9f69068ull);
+  EXPECT_EQ(SplitDigest(MakeTemporalSplit(tiny, all_hard)),
+            0x70c06c8d21f7d40bull);
+}
+
+// All-hard sampling draws far more negatives than there are users; the memo
+// must still run at most one BFS per distinct source.
+TEST(SplitTest, OneBallBfsPerSource) {
+  SocialDataset ds = TinyDataset();
+  SplitOptions options;
+  options.hard_negative_fraction = 1.0;
+  metrics::Disable();
+  metrics::Enable();
+  TrustSplit split = MakeSplit(ds, options);
+  const int64_t bfs = metrics::GetCounter("data.split.ball_bfs").Value();
+  metrics::Disable();
+  EXPECT_GT(split.train_pairs.size() - split.train_positive.size(),
+            ds.num_users);
+  EXPECT_GT(bfs, 0);
+  EXPECT_LE(bfs, static_cast<int64_t>(ds.num_users));
 }
 
 // ---------------------------------------------------------------------------
