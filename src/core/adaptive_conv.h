@@ -41,19 +41,6 @@ class AdaptiveHypergraphConv : public nn::Module {
   /// Does not update last_attention() — explanations stay on the tape path.
   tensor::Matrix& Infer(const tensor::Matrix& x, tensor::Workspace* ws) const;
 
-  /// Tape-free forward restricted to `vertices` (ascending, deduplicated,
-  /// in range): returns a (|vertices| x out_features) buffer whose i-th row
-  /// is bit-identical to row vertices[i] of Infer(x, ws). `x` is the FULL
-  /// previous-layer matrix; only the incident hyperedges of the requested
-  /// vertices are processed, so cost scales with the dirty neighbourhood
-  /// instead of the graph. The restricted attention pass stays bitwise
-  /// because every requested vertex's incidence segment is materialized
-  /// whole (all its hyperedges) in the same relative order as the full
-  /// edge-major pair list.
-  tensor::Matrix& InferRows(const tensor::Matrix& x,
-                            const std::vector<int>& vertices,
-                            tensor::Workspace* ws) const;
-
   /// Rebuilds the incidence-derived structures (edge/vertex means,
   /// attention pairs, edge count) for a mutated hypergraph over the same
   /// vertex set. `new_from_old[e]` names the previous edge whose trained

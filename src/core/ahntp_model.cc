@@ -127,170 +127,34 @@ tensor::Matrix AhntpModel::InferUsers(tensor::Workspace* ws) {
   return *out;
 }
 
-tensor::Matrix& AhntpModel::InferBranchCached(Branch& branch,
-                                              const tensor::Matrix& x,
-                                              tensor::Workspace* ws) {
-  branch.cache.clear();
-  branch.cache.reserve(branch.convs.size() + 1);
-  const tensor::Matrix* h = &nn::InferMlp(*branch.feature_mlp, x, ws);
-  branch.cache.push_back(*h);
-  for (const auto& conv : branch.convs) {
-    h = &conv->Infer(*h, ws);
-    branch.cache.push_back(*h);
-  }
-  return branch.cache.back();
-}
-
-tensor::Matrix AhntpModel::InferUsersCached(tensor::Workspace* ws) {
-  tensor::Matrix& node_embedding =
-      InferBranchCached(node_branch_, features_.value(), ws);
-  tensor::Matrix& structure_embedding =
-      InferBranchCached(structure_branch_, features_.value(), ws);
-  tensor::Matrix out(node_embedding.rows(),
-                     node_embedding.cols() + structure_embedding.cols());
-  tensor::ConcatColsInto(&out, {&node_embedding, &structure_embedding});
-  return out;
-}
-
-std::vector<int> AhntpModel::RefreshBranch(
-    Branch& branch, hypergraph::Hypergraph* hg_member,
-    std::vector<std::string>* sources_member, BranchUpdate* update,
-    const std::vector<int>& seed, tensor::Workspace* ws) {
-  const size_t n = hg_member->num_vertices();
-  const hypergraph::BranchDiff& diff = update->diff;
-  const bool structural = diff.any_change;
-  if (structural) {
+void AhntpModel::InstallInputs(tensor::Matrix features,
+                               std::vector<double> influence,
+                               std::optional<BranchUpdate> node_update,
+                               std::optional<BranchUpdate> structure_update) {
+  AHNTP_CHECK_EQ(features.rows(), features_.rows());
+  AHNTP_CHECK_EQ(features.cols(), features_.cols());
+  AHNTP_CHECK_EQ(influence.size(), influence_.size());
+  features_ = autograd::Constant(std::move(features));
+  influence_ = std::move(influence);
+  auto reset = [](Branch& branch, BranchUpdate& update, Hypergraph* hg,
+                  std::vector<std::string>* sources) {
+    AHNTP_CHECK_EQ(update.edge_sources.size(), update.hypergraph.num_edges());
     for (auto& conv : branch.convs) {
-      conv->ResetStructure(update->hypergraph, diff.new_from_old);
+      conv->ResetStructure(update.hypergraph, update.new_from_old);
     }
-    *hg_member = std::move(update->hypergraph);
-    *sources_member = std::move(update->edge_sources);
+    *hg = std::move(update.hypergraph);
+    *sources = std::move(update.edge_sources);
+  };
+  if (node_update) {
+    reset(node_branch_, *node_update, &node_hg_, &node_edge_sources_);
   }
-
-  // Vertices whose structural context changed: any member of a new/changed
-  // hyperedge, plus vertices whose ordered incidence sequence changed
-  // (their attention segments are laid out differently). These are dirty
-  // at every layer regardless of input changes.
-  std::vector<char> structure_dirty(n, 0);
-  if (structural) {
-    for (int e : diff.changed_edges) {
-      for (int v : hg_member->EdgeVertices(static_cast<size_t>(e))) {
-        structure_dirty[v] = 1;
-      }
-    }
-    for (int v : diff.reorder_dirty) structure_dirty[v] = 1;
+  if (structure_update) {
+    reset(structure_branch_, *structure_update, &structure_hg_,
+          &structure_edge_sources_);
   }
-
-  // Vertex -> incident hyperedges of the (new) branch hypergraph, for the
-  // closure expansion.
-  std::vector<std::vector<int>> incident(n);
-  const auto& pairs = hg_member->Pairs();
-  for (size_t p = 0; p < pairs.vertex.size(); ++p) {
-    incident[pairs.vertex[p]].push_back(pairs.edge[p]);
-  }
-
-  // D^0: users whose feature rows changed — recompute their MLP rows.
-  // InferMlp is row-local, so running it on the gathered rows is bitwise
-  // identical to the corresponding rows of the full pass.
-  std::vector<int> dirty = seed;
-  if (!dirty.empty()) {
-    tensor::Matrix* sub =
-        ws->Acquire(dirty.size(), features_.value().cols());
-    tensor::GatherRowsInto(sub, features_.value(), dirty);
-    const tensor::Matrix& rows = nn::InferMlp(*branch.feature_mlp, *sub, ws);
-    tensor::Matrix& x0 = branch.cache[0];
-    for (size_t i = 0; i < dirty.size(); ++i) {
-      std::copy(rows.RowPtr(i), rows.RowPtr(i) + rows.cols(),
-                x0.RowPtr(static_cast<size_t>(dirty[i])));
-    }
-  }
-
-  for (size_t l = 0; l < branch.convs.size(); ++l) {
-    std::vector<char> mark(n, 0);
-    for (int v : dirty) {
-      mark[v] = 1;
-      for (int e : incident[v]) {
-        for (int w : hg_member->EdgeVertices(static_cast<size_t>(e))) {
-          mark[w] = 1;
-        }
-      }
-    }
-    if (structural) {
-      for (size_t v = 0; v < n; ++v) {
-        if (structure_dirty[v]) mark[v] = 1;
-      }
-    }
-    std::vector<int> next;
-    for (size_t v = 0; v < n; ++v) {
-      if (mark[v]) next.push_back(static_cast<int>(v));
-    }
-    if (next.empty()) return {};
-    tensor::Matrix& rows = branch.convs[l]->InferRows(branch.cache[l], next, ws);
-    tensor::Matrix& out = branch.cache[l + 1];
-    for (size_t i = 0; i < next.size(); ++i) {
-      std::copy(rows.RowPtr(i), rows.RowPtr(i) + rows.cols(),
-                out.RowPtr(static_cast<size_t>(next[i])));
-    }
-    dirty = std::move(next);
-  }
-  return dirty;
-}
-
-AhntpModel::RefreshResult AhntpModel::RefreshIncremental(
-    BranchUpdate node_update, BranchUpdate structure_update,
-    const std::vector<int>& dirty_feature_rows,
-    const tensor::Matrix& new_feature_rows,
-    const std::vector<double>& new_influence, tensor::Workspace* ws) {
-  AHNTP_CHECK(caches_primed())
-      << "prime the activation caches with InferUsersCached() first";
-  AHNTP_CHECK_EQ(new_influence.size(), influence_.size());
-  AHNTP_CHECK_EQ(dirty_feature_rows.size(), new_feature_rows.rows());
-  influence_ = new_influence;
-
-  if (!dirty_feature_rows.empty()) {
-    tensor::Matrix feats = features_.value();
-    AHNTP_CHECK_EQ(new_feature_rows.cols(), feats.cols());
-    for (size_t i = 0; i < dirty_feature_rows.size(); ++i) {
-      int r = dirty_feature_rows[i];
-      AHNTP_CHECK(r >= 0 && static_cast<size_t>(r) < feats.rows());
-      if (i > 0) {
-        AHNTP_CHECK_GT(r, dirty_feature_rows[i - 1]);
-      }
-      std::copy(new_feature_rows.RowPtr(i),
-                new_feature_rows.RowPtr(i) + new_feature_rows.cols(),
-                feats.RowPtr(static_cast<size_t>(r)));
-    }
-    features_ = autograd::Constant(std::move(feats));
-  }
-
-  std::vector<int> node_dirty =
-      RefreshBranch(node_branch_, &node_hg_, &node_edge_sources_,
-                    &node_update, dirty_feature_rows, ws);
-  std::vector<int> structure_dirty =
-      RefreshBranch(structure_branch_, &structure_hg_,
-                    &structure_edge_sources_, &structure_update,
-                    dirty_feature_rows, ws);
-  if (node_update.diff.any_change || structure_update.diff.any_change) {
+  if (node_update || structure_update) {
     combined_hg_ = Hypergraph::Concat(node_hg_, structure_hg_);
   }
-
-  RefreshResult result;
-  std::set_union(node_dirty.begin(), node_dirty.end(),
-                 structure_dirty.begin(), structure_dirty.end(),
-                 std::back_inserter(result.dirty_users));
-  const tensor::Matrix& node_out = node_branch_.cache.back();
-  const tensor::Matrix& structure_out = structure_branch_.cache.back();
-  result.dirty_embeddings =
-      tensor::Matrix(result.dirty_users.size(), embedding_dim());
-  for (size_t i = 0; i < result.dirty_users.size(); ++i) {
-    const size_t v = static_cast<size_t>(result.dirty_users[i]);
-    float* dst = result.dirty_embeddings.RowPtr(i);
-    std::copy(node_out.RowPtr(v), node_out.RowPtr(v) + node_out.cols(), dst);
-    std::copy(structure_out.RowPtr(v),
-              structure_out.RowPtr(v) + structure_out.cols(),
-              dst + node_out.cols());
-  }
-  return result;
 }
 
 std::vector<AhntpModel::HyperedgeInfluence> AhntpModel::ExplainUser(

@@ -2,12 +2,13 @@
 #define AHNTP_CORE_AHNTP_MODEL_H_
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/adaptive_conv.h"
 #include "graph/pagerank.h"
 #include "hypergraph/builders.h"
-#include "hypergraph/dynamic.h"
 #include "models/encoder.h"
 #include "nn/mlp.h"
 
@@ -46,9 +47,7 @@ struct AhntpConfig {
 
   // --- Influence computation ---
   /// Inner power-iteration settings for both MPR and the plain-PageRank
-  /// ablation. The dynamic pipeline tightens tolerance and raises the
-  /// iteration cap so warm-started and cold runs land on the same fixed
-  /// point to within testing tolerance.
+  /// ablation; the dynamic pipeline's warm-started solves use them too.
   graph::PageRankOptions pagerank;
   /// When non-empty (must be sized to the user count), used verbatim as
   /// the influence scores instead of running (M)PR. The dynamic pipeline
@@ -107,63 +106,34 @@ class AhntpModel : public models::Encoder {
   /// forward pass. Requires the attention variant (use_attention).
   std::vector<HyperedgeInfluence> ExplainUser(int u, size_t top_k = 5);
 
-  // --- Incremental refresh (DESIGN.md §17) ------------------------------
-
-  /// Like InferUsers() — bit-identical output — but additionally snapshots
-  /// every branch activation (the feature-MLP output and each conv layer's
-  /// output) as owned matrices. These caches are what RefreshIncremental()
-  /// reads and patches; call this once before the first refresh.
-  tensor::Matrix InferUsersCached(tensor::Workspace* ws);
-
-  /// Whether InferUsersCached() has primed the activation caches.
-  bool caches_primed() const { return !node_branch_.cache.empty(); }
+  // --- Graph deltas (DESIGN.md §17) -------------------------------------
 
   /// One branch's post-delta structure, produced by the dynamic pipeline
   /// from the incremental hypergroup updates and hypergraph::DiffBranch.
-  /// When `diff.any_change` is false the hypergraph/sources fields are
-  /// ignored and the branch structure is left untouched.
   struct BranchUpdate {
     hypergraph::Hypergraph hypergraph{0};
-    hypergraph::BranchDiff diff;
+    /// Per new edge: the old edge whose learned weight w_e it keeps, or -1.
+    std::vector<int> new_from_old;
     /// Per-edge source labels parallel to `hypergraph` ("social-influence",
     /// "attribute", "pairwise", "multi-hop").
     std::vector<std::string> edge_sources;
   };
 
-  /// Outcome of an incremental refresh: which users' final embeddings
-  /// changed, with their new rows ready for InferencePlan::RefreshRows.
-  struct RefreshResult {
-    std::vector<int> dirty_users;     // ascending, deduplicated
-    tensor::Matrix dirty_embeddings;  // (|dirty_users| x embedding_dim())
-  };
-
-  /// Incrementally re-embeds after a graph/rating delta. Per branch, the
-  /// convs' incidence structures are rebuilt from the new hypergraph (edge
-  /// weights remapped through diff.new_from_old), then the dirty closure
-  ///   D^l = D^{l-1} ∪ members(incident(D^{l-1})) ∪ reorder_dirty
-  ///         ∪ members(changed_edges)
-  /// is propagated layer by layer, recomputing only the dirty rows via
-  /// AdaptiveHypergraphConv::InferRows and patching the activation caches
-  /// in place. Every patched row is bit-identical to a full InferUsers()
-  /// on the post-delta model. `dirty_feature_rows` (ascending) are users
-  /// whose feature rows changed, with their new rows in
-  /// `new_feature_rows`; `new_influence` replaces influence_scores().
-  /// Requires caches_primed().
-  RefreshResult RefreshIncremental(BranchUpdate node_update,
-                                   BranchUpdate structure_update,
-                                   const std::vector<int>& dirty_feature_rows,
-                                   const tensor::Matrix& new_feature_rows,
-                                   const std::vector<double>& new_influence,
-                                   tensor::Workspace* ws);
+  /// Installs the post-delta inputs: the whole feature matrix, the
+  /// influence vector, and, for each branch whose structure changed, its
+  /// new hypergraph (every conv's ResetStructure remaps the surviving
+  /// edges' weights). Nothing is encoded here; the next InferUsers() (the
+  /// inference plan's rebuild) re-embeds every user, bit-identical to a
+  /// model built from the post-delta inputs with the same weights.
+  void InstallInputs(tensor::Matrix features, std::vector<double> influence,
+                     std::optional<BranchUpdate> node_update,
+                     std::optional<BranchUpdate> structure_update);
 
  private:
   /// One tier: feature MLP then stacked adaptive convolutions.
   struct Branch {
     std::unique_ptr<nn::Mlp> feature_mlp;
     std::vector<std::unique_ptr<AdaptiveHypergraphConv>> convs;
-    /// Activation snapshots: cache[0] = feature-MLP output, cache[l+1] =
-    /// conv l output. Empty until InferUsersCached() primes them.
-    std::vector<tensor::Matrix> cache;
   };
   Branch MakeBranch(const hypergraph::Hypergraph& hg, size_t in_dim,
                     Rng* rng);
@@ -171,16 +141,6 @@ class AhntpModel : public models::Encoder {
                                const autograd::Variable& x);
   tensor::Matrix& InferBranch(const Branch& branch, const tensor::Matrix& x,
                               tensor::Workspace* ws);
-  tensor::Matrix& InferBranchCached(Branch& branch, const tensor::Matrix& x,
-                                    tensor::Workspace* ws);
-  /// Applies one BranchUpdate + feature-dirty seed to a branch; returns the
-  /// final-layer dirty vertex set (ascending).
-  std::vector<int> RefreshBranch(Branch& branch,
-                                 hypergraph::Hypergraph* hg_member,
-                                 std::vector<std::string>* sources_member,
-                                 BranchUpdate* update,
-                                 const std::vector<int>& seed,
-                                 tensor::Workspace* ws);
 
   AhntpConfig config_;
   autograd::Variable features_;

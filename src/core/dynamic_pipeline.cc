@@ -1,6 +1,6 @@
 #include "core/dynamic_pipeline.h"
 
-#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -93,12 +93,6 @@ Result<DynamicTrustPipeline> DynamicTrustPipeline::Create(
   p.model_ = std::make_shared<AhntpModel>(inputs, model_config);
   p.predictor_ = std::make_unique<models::TrustPredictor>(
       p.model_, p.options_.predictor, p.rng_.get());
-
-  // Prime the activation caches — the full pass incremental refreshes are
-  // measured against.
-  p.ws_ = std::make_unique<tensor::Workspace>();
-  p.model_->InferUsersCached(p.ws_.get());
-  p.ws_->Reset();
   return p;
 }
 
@@ -149,7 +143,8 @@ Result<DeltaOutcome> DynamicTrustPipeline::ApplyDelta(
 
   // Per-stage latency telemetry (seconds): where an apply actually spends
   // its time — analytics (motifs + influence), hypergroup maintenance,
-  // branch diffing, the encoder refresh, and the plan-table patch.
+  // branch diffing, installing the model's new inputs, and the plan rebuild
+  // (the all-user re-encode plus the table build).
   Stopwatch stage_watch;
   auto observe_stage = [&stage_watch](const char* name) {
     if (metrics::Enabled()) {
@@ -192,10 +187,6 @@ Result<DeltaOutcome> DynamicTrustPipeline::ApplyDelta(
     }
     outcome.pagerank_iterations = stats.iterations;
     outcome.pagerank_cold_iterations = cold_pr_iterations_;
-    AHNTP_METRIC_COUNT(
-        "dynamic.pagerank.iterations_saved",
-        static_cast<size_t>(std::max(0, cold_pr_iterations_ -
-                                            stats.iterations)));
     observe_stage("dynamic.apply.analytics_seconds");
 
     // Hypergroups: social whole (global top-K), pairwise/multi-hop
@@ -212,59 +203,57 @@ Result<DeltaOutcome> DynamicTrustPipeline::ApplyDelta(
     observe_stage("dynamic.apply.hypergroups_seconds");
   }
 
-  // Feature rows: purchases feed the behavior/histogram columns, so only
-  // rating-touched users can change (attributes are static; trust edges
-  // are deliberately not encoded as features).
-  std::vector<int> dirty_feature_rows;
-  tensor::Matrix new_feature_rows;
-  if (receipt.rating_rows > 0 && (options_.features.include_behavior ||
-                                  options_.features.include_category_histogram)) {
+  // Features: purchases feed the behavior/histogram columns (attributes
+  // are static; trust edges are deliberately not encoded as features).
+  const bool features_changed =
+      receipt.rating_rows > 0 && (options_.features.include_behavior ||
+                                  options_.features.include_category_histogram);
+  if (features_changed) {
     features_ = data::BuildFeatureMatrix(dataset_, options_.features);
-    dirty_feature_rows = receipt.touched_rating_users;
-    new_feature_rows =
-        tensor::Matrix(dirty_feature_rows.size(), features_.cols());
-    tensor::GatherRowsInto(&new_feature_rows, features_, dirty_feature_rows);
   }
 
-  if (!structural && dirty_feature_rows.empty()) {
+  if (!structural && !features_changed) {
     // Nothing derived changed (all-ignored or attribute-only-features
     // rating delta); the generation bump alone flushes serving caches.
     return outcome;
   }
 
-  // Branch diffs + model refresh.
-  AhntpModel::BranchUpdate node_update;
-  AhntpModel::BranchUpdate structure_update;
+  // Branch diffs: the key match that carries each surviving hyperedge's
+  // learned weight over. A branch whose hypergraph came out identical keeps
+  // its structure (no update).
+  auto branch_update = [](const Hypergraph& old_hg,
+                          const std::vector<int64_t>& old_keys,
+                          const Hypergraph& first, const char* first_source,
+                          const Hypergraph& second, const char* second_source,
+                          const std::vector<int64_t>& new_keys)
+      -> std::optional<AhntpModel::BranchUpdate> {
+    AhntpModel::BranchUpdate update;
+    update.hypergraph = Hypergraph::Concat(first, second);
+    hypergraph::BranchDiff diff = hypergraph::DiffBranch(
+        old_hg, old_keys, update.hypergraph, new_keys);
+    if (!diff.any_change) return std::nullopt;
+    update.new_from_old = std::move(diff.new_from_old);
+    update.edge_sources.assign(first.num_edges(), first_source);
+    update.edge_sources.insert(update.edge_sources.end(), second.num_edges(),
+                               second_source);
+    return update;
+  };
+  std::optional<AhntpModel::BranchUpdate> node_update;
+  std::optional<AhntpModel::BranchUpdate> structure_update;
   if (structural) {
-    node_update.hypergraph = Hypergraph::Concat(new_social, attribute_);
-    node_update.diff = hypergraph::DiffBranch(
-        model_->node_hypergraph(), node_keys_, node_update.hypergraph,
-        node_keys_);
-    node_update.edge_sources.assign(new_social.num_edges(),
-                                    "social-influence");
-    node_update.edge_sources.insert(node_update.edge_sources.end(),
-                                    attribute_.num_edges(), "attribute");
-
-    structure_update.hypergraph = Hypergraph::Concat(new_pairwise,
-                                                     new_multihop);
-    structure_update.diff = hypergraph::DiffBranch(
+    node_update = branch_update(model_->node_hypergraph(), node_keys_,
+                                new_social, "social-influence", attribute_,
+                                "attribute", node_keys_);
+    structure_update = branch_update(
         model_->structure_hypergraph(),
-        hypergraph::ConcatKeys(pairwise_keys_, multihop_keys_),
-        structure_update.hypergraph,
+        hypergraph::ConcatKeys(pairwise_keys_, multihop_keys_), new_pairwise,
+        "pairwise", new_multihop, "multi-hop",
         hypergraph::ConcatKeys(new_pairwise_keys, multihop_keys_));
-    structure_update.edge_sources.assign(new_pairwise.num_edges(),
-                                         "pairwise");
-    structure_update.edge_sources.insert(structure_update.edge_sources.end(),
-                                         new_multihop.num_edges(),
-                                         "multi-hop");
     observe_stage("dynamic.apply.diff_seconds");
   }
 
-  ws_->Reset();
-  AhntpModel::RefreshResult refresh = model_->RefreshIncremental(
-      std::move(node_update), std::move(structure_update),
-      dirty_feature_rows, new_feature_rows, influence_, ws_.get());
-  ws_->Reset();
+  model_->InstallInputs(features_, influence_, std::move(node_update),
+                        std::move(structure_update));
   observe_stage("dynamic.apply.refresh_seconds");
 
   if (structural) {
@@ -274,15 +263,11 @@ Result<DeltaOutcome> DynamicTrustPipeline::ApplyDelta(
     multihop_ = std::move(new_multihop);
   }
 
-  // Plan tables: patch only the dirty rows (fp32 memcpy / int8 per-row
-  // requantize; sharded plans re-spill only the dirty shards).
-  AHNTP_RETURN_IF_ERROR(predictor_->RefreshPlanRows(
-      refresh.dirty_users, refresh.dirty_embeddings));
+  // Every user's embedding can change (attribute hyperedges mix globally),
+  // so the serving plan re-encodes all of them in one normal build.
+  AHNTP_RETURN_IF_ERROR(predictor_->RebuildInferencePlan());
   observe_stage("dynamic.apply.plan_seconds");
-
-  AHNTP_METRIC_COUNT("dynamic.apply.dirty_users",
-                     refresh.dirty_users.size());
-  outcome.refreshed_users = std::move(refresh.dirty_users);
+  AHNTP_METRIC_COUNT("dynamic.apply.dirty_users", new_view.num_nodes());
   return outcome;
 }
 

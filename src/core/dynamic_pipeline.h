@@ -13,20 +13,11 @@
 #include "graph/delta.h"
 #include "graph/dynamic_motifs.h"
 #include "models/trust_predictor.h"
-#include "tensor/workspace.h"
 
 namespace ahntp::core {
 
-/// Configuration of a DynamicTrustPipeline. The default constructor
-/// tightens the power-iteration settings: a warm-started PageRank and a
-/// cold one must land on the same fixed point to testing tolerance, which
-/// a loose 1e-9 stop does not guarantee after many deltas.
+/// Configuration of a DynamicTrustPipeline.
 struct DynamicPipelineOptions {
-  DynamicPipelineOptions() {
-    model.pagerank.tolerance = 1e-12;
-    model.pagerank.max_iterations = 300;
-  }
-
   AhntpConfig model;
   models::TrustPredictorConfig predictor;
   data::FeatureOptions features;
@@ -40,9 +31,6 @@ struct DynamicPipelineOptions {
 /// What one ApplyDelta() did beyond the raw store receipt.
 struct DeltaOutcome {
   graph::DeltaReceipt receipt;
-  /// Users whose final embeddings were recomputed and patched into the
-  /// inference plans (the k-hop dirty closure through the conv stack).
-  std::vector<int> refreshed_users;
   /// Power iterations the warm-started influence refresh used, and the
   /// cold-start count measured at construction. iterations saved =
   /// cold - warm. Both 0 for rating-only deltas (influence untouched).
@@ -55,24 +43,27 @@ struct DeltaOutcome {
 };
 
 /// The dynamic trust stack (DESIGN.md §17): a mutable graph store plus
-/// every derived structure — motif counts, influence scores, hypergroups,
-/// the encoder's activation caches, and the inference-plan embedding
-/// tables — maintained *incrementally* under graph deltas. Every patched
-/// value is bit-identical to what a full rebuild from the current snapshot
-/// produces (RebuildFromScratch() is the equivalence oracle; the influence
-/// vector alone is tolerance-equal, see below).
+/// every derived structure — motif counts, influence scores, hypergroups
+/// and the serving inference plan — kept current under graph deltas. The
+/// graph-side structures are patched incrementally; the encoder is not:
+/// attribute hyperedges mix globally, so a delta changes every user's
+/// embedding and one full re-encode is the cheapest refresh. Every value is
+/// bit-identical to what a full rebuild from the current snapshot produces
+/// (RebuildFromScratch() is the equivalence oracle; the influence vector
+/// alone is tolerance-equal, see below).
 ///
 /// Per delta, the update cascade is:
 ///   store.Apply  ->  motif counts patched around touched edges
 ///                ->  influence re-solved warm-started from the previous
-///                    vector (iterations-saved telemetry in the outcome)
+///                    vector (warm and cold iteration counts in the outcome)
 ///                ->  hypergroups: social rebuilt whole (global top-K),
 ///                    attribute untouched, pairwise/multi-hop patched via
 ///                    retained + changed fragments (hypergraph/dynamic.h)
-///                ->  encoder re-embeds only the dirty closure
-///                    (AhntpModel::RefreshIncremental)
-///                ->  fp32/int8 plan tables patched row-wise; spilled
-///                    shard blocks re-written only for dirty shards.
+///                ->  model inputs installed: features, influence, and the
+///                    hypergraph of each branch whose structure changed
+///                    (surviving hyperedges keep their learned weights)
+///                ->  the serving plan rebuilt: one all-user encode plus
+///                    the fp32 copy, int8 quantize or sharded spill.
 ///
 /// Fault site "plan.delta.refresh" fires right after the store commit; an
 /// injected fault rolls the store back (RevertLast) and leaves every
@@ -83,8 +74,8 @@ struct DeltaOutcome {
 /// its dispatcher thread. generation() is safe from any thread.
 class DynamicTrustPipeline {
  public:
-  /// Builds the full stack from `dataset` and primes the encoder's
-  /// activation caches (one full inference pass — the cold baseline).
+  /// Builds the full stack from `dataset`. The inference plan is built
+  /// lazily (or by WarmInferencePlan()).
   static Result<DynamicTrustPipeline> Create(
       const data::SocialDataset& dataset,
       DynamicPipelineOptions options = DynamicPipelineOptions());
@@ -94,7 +85,9 @@ class DynamicTrustPipeline {
 
   /// Applies one delta through the whole cascade. On error (validation or
   /// an injected fault) the pipeline is unchanged, previous generation
-  /// included.
+  /// included. An error rebuilding the plan (IoError from a sharded spill)
+  /// is returned after the store and model have moved on; the plan then
+  /// rebuilds at its next use.
   Result<DeltaOutcome> ApplyDelta(const graph::GraphDelta& delta);
 
   /// Builds a fresh pipeline from the current snapshot — the equivalence
@@ -158,7 +151,6 @@ class DynamicTrustPipeline {
   std::unique_ptr<Rng> rng_;  // stable address: the model keeps a pointer
   std::shared_ptr<AhntpModel> model_;
   std::unique_ptr<models::TrustPredictor> predictor_;
-  std::unique_ptr<tensor::Workspace> ws_;
 };
 
 }  // namespace ahntp::core

@@ -38,6 +38,13 @@ std::vector<double> PowerIterate(const CsrMatrix& row_normalized_transpose,
   // association order) stay identical at every thread count.
   constexpr size_t kGrain = size_t{1} << 14;
   const auto sum_doubles = [](double x, double y) { return x + y; };
+  // The SpMV runs in float, so near the fixed point the iterate can settle
+  // into an exact two-step cycle whose L1 step (~1e-9) never meets the
+  // tolerance. The map is deterministic: once s repeats the value it had
+  // two iterations back, no later step can converge, so stop there rather
+  // than at the cap. Runs that converge never repeat and are unaffected.
+  std::vector<double> one_back;
+  std::vector<double> two_back;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     AHNTP_METRIC_COUNT("graph.pagerank.iterations", 1);
     ++iterations_used;
@@ -70,7 +77,9 @@ std::vector<double> PowerIterate(const CsrMatrix& row_normalized_transpose,
           return partial;
         },
         sum_doubles);
-    if (delta < options.tolerance) break;
+    if (delta < options.tolerance || s == two_back) break;
+    two_back.swap(one_back);
+    one_back = s;
   }
   // Normalize away accumulated float round-off.
   double total = 0.0;

@@ -14,7 +14,10 @@ struct PageRankOptions {
   double damping = 0.85;
   /// Power-iteration cap.
   int max_iterations = 100;
-  /// L1 convergence threshold between successive iterates.
+  /// L1 convergence threshold between successive iterates. The SpMV runs
+  /// in float, so an iterate can also settle into an exact two-step cycle
+  /// just above this threshold; the iteration stops there too (see
+  /// PowerIterate in pagerank.cc).
   double tolerance = 1e-9;
 };
 
@@ -36,8 +39,8 @@ struct PageRankStats {
 /// uniform vector. After a small graph delta the previous score vector is
 /// near the new fixed point, so convergence takes a fraction of the cold
 /// iteration count. Same fixed point, same per-iteration arithmetic — only
-/// the starting point (and so the iterate path) differs; run both at a
-/// tight tolerance to keep them interchangeable downstream.
+/// the starting point (and so the iterate path) differs, so warm and cold
+/// results agree to the float SpMV's noise floor (~3e-9), not bitwise.
 std::vector<double> PageRankWarm(const tensor::CsrMatrix& adjacency,
                                  const PageRankOptions& options,
                                  const std::vector<double>* warm_start,

@@ -240,7 +240,6 @@ BranchDiff DiffBranch(const Hypergraph& old_hg,
   AHNTP_CHECK_EQ(old_keys.size(), old_hg.num_edges());
   AHNTP_CHECK_EQ(new_keys.size(), new_hg.num_edges());
   AHNTP_CHECK_EQ(old_hg.num_vertices(), new_hg.num_vertices());
-  const size_t n = new_hg.num_vertices();
 
   std::unordered_map<int64_t, int> old_by_key;
   old_by_key.reserve(old_keys.size());
@@ -252,42 +251,21 @@ BranchDiff DiffBranch(const Hypergraph& old_hg,
 
   BranchDiff diff;
   diff.new_from_old.assign(new_hg.num_edges(), -1);
+  diff.any_change = old_hg.num_edges() != new_hg.num_edges();
   for (size_t e = 0; e < new_hg.num_edges(); ++e) {
     auto it = old_by_key.find(new_keys[e]);
     if (it == old_by_key.end()) {
-      diff.changed_edges.push_back(static_cast<int>(e));
+      diff.any_change = true;
       continue;
     }
     diff.new_from_old[e] = it->second;
     const size_t old_e = static_cast<size_t>(it->second);
-    if (new_hg.EdgeVertices(e) != old_hg.EdgeVertices(old_e) ||
-        new_hg.EdgeWeight(e) != old_hg.EdgeWeight(old_e)) {
-      diff.changed_edges.push_back(static_cast<int>(e));
+    if (!diff.any_change &&
+        (old_e != e || new_hg.EdgeVertices(e) != old_hg.EdgeVertices(old_e) ||
+         new_hg.EdgeWeight(e) != old_hg.EdgeWeight(old_e))) {
+      diff.any_change = true;
     }
   }
-
-  // A vertex's convolution row depends on the *ordered contents* of its
-  // incident hyperedges (the attention softmax runs over its incidence
-  // pairs in edge-major order). Vertices whose ordered identity-key
-  // sequence moved — including members of removed edges, whose key
-  // disappears — must be recomputed even when every surviving edge kept
-  // its members.
-  std::vector<std::vector<int64_t>> old_seq(n), new_seq(n);
-  for (size_t e = 0; e < old_hg.num_edges(); ++e) {
-    for (int v : old_hg.EdgeVertices(e)) old_seq[v].push_back(old_keys[e]);
-  }
-  for (size_t e = 0; e < new_hg.num_edges(); ++e) {
-    for (int v : new_hg.EdgeVertices(e)) new_seq[v].push_back(new_keys[e]);
-  }
-  for (size_t v = 0; v < n; ++v) {
-    if (old_seq[v] != new_seq[v]) {
-      diff.reorder_dirty.push_back(static_cast<int>(v));
-    }
-  }
-
-  diff.any_change =
-      !diff.changed_edges.empty() || !diff.reorder_dirty.empty() ||
-      old_hg.num_edges() != new_hg.num_edges();
   return diff;
 }
 

@@ -54,13 +54,11 @@ Hypergraph UpdateMultiHopHypergroup(const Hypergraph& old_hg,
 
 // ---------------------------------------------------------------------------
 // Branch diffing. The adaptive convolutions consume a branch hypergraph
-// (concatenation of two hypergroups); after an update the model needs to
-// know which hyperedges are new or changed, how surviving edges map to old
-// edge ids (edge-weight remapping), and which vertices saw their *ordered*
-// incident-edge sequence change (their attention segments reorder even when
-// every member set survives — e.g. a pairwise representative flip). Edges
-// are matched across generations by a stable int64 identity key, namespaced
-// per hypergroup so concatenated branches can be diffed in one pass.
+// (concatenation of two hypergroups); after an update each surviving
+// hyperedge keeps its learned weight w_e, so the model needs the map from
+// new edge ids to old ones. Edges are matched across generations by a
+// stable int64 identity key, namespaced per hypergroup so concatenated
+// branches can be diffed in one pass.
 // ---------------------------------------------------------------------------
 
 /// Stable identity keys (one per edge, build order) for each hypergroup.
@@ -82,12 +80,8 @@ std::vector<int64_t> ConcatKeys(const std::vector<int64_t>& a,
 struct BranchDiff {
   /// Per new edge id: matching old edge id (same identity key) or -1.
   std::vector<int> new_from_old;
-  /// New edge ids that are brand new or whose member set / weight changed.
-  std::vector<int> changed_edges;
-  /// Vertices whose ordered sequence of incident identity keys changed —
-  /// including members of removed edges. Their attention segments are laid
-  /// out differently even if each surviving edge is unchanged.
-  std::vector<int> reorder_dirty;
+  /// False iff the two hypergraphs are identical: same edges, members and
+  /// weights, in the same order.
   bool any_change = false;
 };
 

@@ -4,10 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <utility>
 
 #include "common/check.h"
@@ -115,10 +113,10 @@ InferencePlan::InferencePlan(TrustPredictor* predictor)
   AHNTP_CHECK(predictor_ != nullptr);
 }
 
-void InferencePlan::EnsureBuilt() {
+Status InferencePlan::EnsureBuilt() {
   if (built_) {
     AHNTP_METRIC_COUNT("infer.cache_hits", 1);
-    return;
+    return Status::Ok();
   }
   AHNTP_METRIC_COUNT("infer.cache_misses", 1);
   AHNTP_METRIC_COUNT("infer.plan_builds", 1);
@@ -128,14 +126,13 @@ void InferencePlan::EnsureBuilt() {
   embeddings_ = predictor_->encoder().InferUsers(&encode_ws);
   if (precision_ == PlanPrecision::kInt8) {
     if (has_external_calib_) {
-      Status st = tensor::ValidateCalibration(calib_, embeddings_.rows());
-      AHNTP_CHECK(st.ok()) << st.ToString();
+      AHNTP_RETURN_IF_ERROR(
+          tensor::ValidateCalibration(calib_, embeddings_.rows()));
     } else {
       // Self-calibration over the encoder's own activations (the embedding
       // table is exactly what flows into the scoring towers).
       auto calib = tensor::CalibrateRowAbsmax(embeddings_);
-      AHNTP_CHECK(calib.ok())
-          << "int8 calibration failed: " << calib.status().ToString();
+      AHNTP_RETURN_IF_ERROR(calib.status());
       calib_ = std::move(calib).value();
     }
     qembeddings_ = tensor::QuantizedMatrix::Quantize(embeddings_, calib_);
@@ -145,60 +142,6 @@ void InferencePlan::EnsureBuilt() {
     qembeddings_ = tensor::QuantizedMatrix();
   }
   built_ = true;
-}
-
-namespace {
-
-/// Absmax of one fresh embedding row for self-calibrated int8 patching —
-/// the per-row slice of CalibrateRowAbsmax, same finiteness contract.
-Result<float> RowAbsmax(const float* row, size_t cols, int user) {
-  float best = 0.0f;
-  for (size_t c = 0; c < cols; ++c) {
-    if (!std::isfinite(row[c])) {
-      return Status::InvalidArgument(
-          "non-finite embedding for user " + std::to_string(user) +
-          " during int8 row refresh");
-    }
-    best = std::max(best, std::fabs(row[c]));
-  }
-  return best;
-}
-
-}  // namespace
-
-Status InferencePlan::RefreshRows(const std::vector<int>& users,
-                                  const tensor::Matrix& rows) {
-  AHNTP_CHECK_EQ(users.size(), rows.rows());
-  if (users.empty() || !built_) return Status::Ok();
-  trace::TraceSpan span("infer.plan_refresh");
-  const bool int8 = precision_ == PlanPrecision::kInt8;
-  const size_t table_rows = int8 ? qembeddings_.rows() : embeddings_.rows();
-  const size_t d = int8 ? qembeddings_.cols() : embeddings_.cols();
-  AHNTP_CHECK_EQ(rows.cols(), d);
-  for (size_t i = 0; i < users.size(); ++i) {
-    const int u = users[i];
-    AHNTP_CHECK(u >= 0 && static_cast<size_t>(u) < table_rows);
-    if (i > 0) {
-      AHNTP_CHECK_GT(u, users[i - 1]);
-    }
-  }
-  for (size_t i = 0; i < users.size(); ++i) {
-    const size_t u = static_cast<size_t>(users[i]);
-    const float* src = rows.RowPtr(i);
-    if (int8) {
-      float absmax = calib_.absmax[u];
-      if (!has_external_calib_) {
-        auto fresh = RowAbsmax(src, d, users[i]);
-        AHNTP_RETURN_IF_ERROR(fresh.status());
-        absmax = fresh.value();
-        calib_.absmax[u] = absmax;
-      }
-      qembeddings_.UpdateRow(u, src, absmax);
-    } else {
-      std::memcpy(embeddings_.RowPtr(u), src, d * sizeof(float));
-    }
-  }
-  AHNTP_METRIC_COUNT("infer.row_refreshes", users.size());
   return Status::Ok();
 }
 
@@ -210,7 +153,7 @@ void InferencePlan::SetPrecision(PlanPrecision precision) {
 
 Status InferencePlan::SetCalibration(tensor::RowCalibration calib) {
   // Build first so the live table's row count is known for validation.
-  EnsureBuilt();
+  AHNTP_RETURN_IF_ERROR(EnsureBuilt());
   const size_t rows = precision_ == PlanPrecision::kInt8
                           ? qembeddings_.rows()
                           : embeddings_.rows();
@@ -243,7 +186,7 @@ std::vector<float> InferencePlan::ScoreImpl(
     const std::vector<data::TrustPair>& pairs, float dropout_rate,
     uint64_t dropout_seed) {
   AHNTP_CHECK(!pairs.empty());
-  EnsureBuilt();
+  AHNTP_CHECK_OK(EnsureBuilt());
   ws_.Reset();
   const size_t n = pairs.size();
   src_idx_.clear();
@@ -669,62 +612,6 @@ Status ShardedInferencePlan::EnsureBuilt() {
     AHNTP_RETURN_IF_ERROR(store_->SpillAll(embeddings));
   }
   built_ = true;
-  return Status::Ok();
-}
-
-Status ShardedInferencePlan::RefreshRows(const std::vector<int>& users,
-                                         const tensor::Matrix& rows) {
-  AHNTP_CHECK_EQ(users.size(), rows.rows());
-  if (users.empty() || !built_) return Status::Ok();
-  trace::TraceSpan span("infer.shard.plan_refresh");
-  const graph::UserSharding& sharding = store_->sharding();
-  AHNTP_CHECK_EQ(rows.cols(), store_->dim());
-  std::map<int, std::vector<size_t>> by_shard;  // shard -> indices into rows
-  for (size_t i = 0; i < users.size(); ++i) {
-    const int u = users[i];
-    AHNTP_CHECK(u >= 0 && static_cast<size_t>(u) < sharding.num_users());
-    if (i > 0) {
-      AHNTP_CHECK_GT(u, users[i - 1]);
-    }
-    by_shard[sharding.ShardOf(u)].push_back(i);
-  }
-  for (const auto& [shard, indices] : by_shard) {
-    const std::vector<int>& owned = sharding.UsersOf(shard);
-    if (options_.precision == PlanPrecision::kInt8) {
-      auto block = store_->QuantBlock(shard);
-      AHNTP_RETURN_IF_ERROR(block.status());
-      tensor::QuantizedMatrix patched = *block.value();
-      for (size_t i : indices) {
-        const int u = users[i];
-        auto it = std::lower_bound(owned.begin(), owned.end(), u);
-        AHNTP_CHECK(it != owned.end() && *it == u);
-        const float* src = rows.RowPtr(i);
-        float absmax = calib_.absmax[static_cast<size_t>(u)];
-        if (!has_external_calib_) {
-          auto fresh = RowAbsmax(src, store_->dim(), u);
-          AHNTP_RETURN_IF_ERROR(fresh.status());
-          absmax = fresh.value();
-          calib_.absmax[static_cast<size_t>(u)] = absmax;
-        }
-        patched.UpdateRow(static_cast<size_t>(it - owned.begin()), src,
-                          absmax);
-      }
-      AHNTP_RETURN_IF_ERROR(store_->SpillQuantShard(shard, patched));
-    } else {
-      auto block = store_->Block(shard);
-      AHNTP_RETURN_IF_ERROR(block.status());
-      tensor::Matrix patched = *block.value();
-      for (size_t i : indices) {
-        auto it = std::lower_bound(owned.begin(), owned.end(), users[i]);
-        AHNTP_CHECK(it != owned.end() && *it == users[i]);
-        std::memcpy(patched.RowPtr(static_cast<size_t>(it - owned.begin())),
-                    rows.RowPtr(i), store_->dim() * sizeof(float));
-      }
-      AHNTP_RETURN_IF_ERROR(store_->SpillShard(shard, patched));
-    }
-    AHNTP_METRIC_COUNT("infer.shard_refreshes", 1);
-  }
-  AHNTP_METRIC_COUNT("infer.row_refreshes", users.size());
   return Status::Ok();
 }
 

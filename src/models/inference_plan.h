@@ -55,25 +55,15 @@ class InferencePlan {
   /// Counts infer.plan_builds / infer.cache_misses; a fresh cache counts
   /// infer.cache_hits instead. Encoding uses a throwaway arena so the
   /// steady-state workspace only holds the (small) scoring buffers.
-  void EnsureBuilt();
+  /// InvalidArgument when int8 calibration fails (a non-finite embedding,
+  /// or external stats that no longer fit the table); the plan stays
+  /// unbuilt.
+  Status EnsureBuilt();
 
   /// Marks the embedding cache stale. Cheap; storage is kept.
   void Invalidate() { built_ = false; }
 
   bool built() const { return built_; }
-
-  /// Delta-invalidation (DESIGN.md §17): patches only the given users' rows
-  /// of the cached table instead of re-encoding everyone. `users` ascending
-  /// and deduplicated; `rows` is (|users| x d) with their new embeddings.
-  /// Under kFloat32 the rows are copied; under kInt8 each dirty row is
-  /// requantized in place (self-calibration refreshes its absmax from the
-  /// new row; external calibration keeps the installed stats), which is
-  /// bitwise-identical to a fresh build over the patched table. A plan that
-  /// is not built is left untouched — the next Score() encodes from scratch
-  /// and sees the post-delta model anyway. InvalidArgument on a non-finite
-  /// row under self-calibrated int8.
-  Status RefreshRows(const std::vector<int>& users,
-                     const tensor::Matrix& rows);
 
   /// Probabilities for a batch of pairs, read from the cached embedding
   /// table. Steady state performs zero heap allocations: every intermediate
@@ -260,13 +250,6 @@ class ShardedInferencePlan {
   void Invalidate() { built_ = false; }
   bool built() const { return built_; }
 
-  /// Sharded counterpart of InferencePlan::RefreshRows: groups the dirty
-  /// users by shard, faults in each dirty shard's block, patches the owned
-  /// rows, and re-spills ONLY those blocks — clean shards keep their files
-  /// untouched. Same precision semantics as the monolithic patch. A plan
-  /// that is not built is left untouched.
-  Status RefreshRows(const std::vector<int>& users,
-                     const tensor::Matrix& rows);
   Result<std::vector<float>> Score(const std::vector<data::TrustPair>& pairs);
 
   /// Sharded counterpart of InferencePlan::ScoreWithInputDropout: identical

@@ -94,7 +94,7 @@ void TrustPredictor::WarmInferencePlan() {
     AHNTP_CHECK_OK(sharded_plan_->EnsureBuilt());
     return;
   }
-  Plan().EnsureBuilt();
+  AHNTP_CHECK_OK(Plan().EnsureBuilt());
 }
 
 void TrustPredictor::EnableShardedInference(const ShardedPlanOptions& options) {
@@ -113,15 +113,10 @@ void TrustPredictor::SetInferencePrecision(PlanPrecision precision) {
   if (sharded_plan_) sharded_plan_->SetPrecision(precision);
 }
 
-Status TrustPredictor::RefreshPlanRows(const std::vector<int>& users,
-                                       const tensor::Matrix& rows) {
-  if (plan_) {
-    AHNTP_RETURN_IF_ERROR(plan_->RefreshRows(users, rows));
-  }
-  if (sharded_plan_) {
-    AHNTP_RETURN_IF_ERROR(sharded_plan_->RefreshRows(users, rows));
-  }
-  return Status::Ok();
+Status TrustPredictor::RebuildInferencePlan() {
+  InvalidateCaches();
+  if (sharded_plan_) return sharded_plan_->EnsureBuilt();
+  return Plan().EnsureBuilt();
 }
 
 void TrustPredictor::InvalidateCaches() {

@@ -92,14 +92,12 @@ class TrustPredictor : public nn::Module {
     return sharded_plan_.get();
   }
 
-  /// Delta-invalidation (DESIGN.md §17): patches only the given users'
-  /// embedding rows in whichever inference plans exist (monolithic and/or
-  /// sharded) WITHOUT invalidating them — the clean rows of the cached
-  /// tables keep serving. `users` ascending/deduplicated, `rows` their new
-  /// (|users| x d) embeddings. Plans not yet created or not built are left
-  /// alone; they encode the post-delta model from scratch on first use.
-  Status RefreshPlanRows(const std::vector<int>& users,
-                         const tensor::Matrix& rows);
+  /// Re-encodes after the encoder's inputs changed under a graph delta
+  /// (DESIGN.md §17): invalidates every plan, then rebuilds the one that
+  /// serves PredictProbabilities (sharded if enabled, else monolithic).
+  /// Unlike WarmInferencePlan, a failed build comes back as a Status (the
+  /// sharded spill's IoError) instead of aborting.
+  Status RebuildInferencePlan();
 
   /// Drops the cached embeddings/plan in addition to the recursive module
   /// default. Called after parameter loads and restores.

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/fault.h"
-#include "common/metrics.h"
 #include "common/trace.h"
 
 namespace ahntp::serve {
@@ -14,8 +13,8 @@ DynamicBackend::DynamicBackend(core::DynamicTrustPipeline* pipeline)
     : pipeline_(pipeline) {
   AHNTP_CHECK(pipeline_ != nullptr) << "DynamicBackend needs a pipeline";
   // Warm eagerly, like ModelBackend: the dispatcher thread should only
-  // ever pay the cached scoring path, and ApplyMutation patches rows into
-  // a *built* plan instead of forcing a full first-use encode.
+  // ever pay the cached scoring path (ApplyMutation rebuilds the plan
+  // itself, so reads after a delta find it warm too).
   pipeline_->predictor().WarmInferencePlan();
 }
 
@@ -39,8 +38,6 @@ Result<graph::DeltaReceipt> DynamicBackend::ApplyMutation(
   trace::TraceSpan span("serve.mutation.apply");
   auto outcome = pipeline_->ApplyDelta(delta);
   AHNTP_RETURN_IF_ERROR(outcome.status());
-  AHNTP_METRIC_COUNT("serve.mutation.refreshed_users",
-                     outcome->refreshed_users.size());
   return std::move(outcome->receipt);
 }
 

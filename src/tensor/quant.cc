@@ -81,18 +81,6 @@ QuantizedMatrix QuantizedMatrix::FromParts(size_t rows, size_t cols,
   return out;
 }
 
-void QuantizedMatrix::UpdateRow(size_t r, const float* src, float absmax) {
-  AHNTP_CHECK(r < rows_);
-  scales_[r] = absmax / 127.0f;
-  const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
-  int8_t* dst = data_.data() + r * cols_;
-  for (size_t c = 0; c < cols_; ++c) {
-    long q = std::lrintf(src[c] * inv);
-    q = std::min<long>(127, std::max<long>(-127, q));
-    dst[c] = static_cast<int8_t>(q);
-  }
-}
-
 void QuantizedMatrix::DequantizeRowInto(size_t r, float* dst) const {
   AHNTP_DCHECK(r < rows_);
   const float scale = scales_[r];

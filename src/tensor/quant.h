@@ -59,13 +59,6 @@ class QuantizedMatrix {
   const std::vector<float>& scales() const { return scales_; }
   float scale(size_t r) const { return scales_[r]; }
 
-  /// Requantizes row r in place from `src` (cols() floats) with a fresh
-  /// `absmax`. Runs exactly the Quantize() row loop, so a table patched row
-  /// by row is bitwise-identical to a fresh Quantize() of the patched float
-  /// table under the matching calibration — the invariant the dynamic
-  /// delta-refresh path (DESIGN.md §17) relies on.
-  void UpdateRow(size_t r, const float* src, float absmax);
-
   /// Dequantizes row r into dst[0, cols): dst[c] = q[c] * scale(r).
   void DequantizeRowInto(size_t r, float* dst) const;
 

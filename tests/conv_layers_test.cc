@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive_conv.h"
+#include "hypergraph/hypergraph.h"
 #include "test_util.h"
 
 namespace ahntp::models {
@@ -97,6 +99,53 @@ TEST(GatLayerTest, ParameterCount) {
   GatLayer layer(BuildAttentionEdges(g), 2, 5, 3, &rng);
   // W (5x3, no bias) + two attention vectors (3x1).
   EXPECT_EQ(layer.NumParameters(), 5u * 3u + 3u + 3u);
+}
+
+// A graph delta re-derives a branch hypergraph; ResetStructure must carry
+// each surviving hyperedge's learned weight w_e over (through new_from_old),
+// drop removed edges' weights, and start new edges at the init value 1.
+TEST(AdaptiveHypergraphConvTest, ResetStructureRemapsEdgeWeights) {
+  using hypergraph::Hypergraph;
+  Hypergraph old_hg =
+      Hypergraph::FromEdges(5, {{0, 1}, {1, 2, 3}, {3, 4}, {0, 4}}).value();
+  Rng rng(11);
+  core::AdaptiveHypergraphConv conv(old_hg, 3, 4, &rng);
+  // The trainable w_e is the last parameter; give every edge its own value.
+  Variable old_weights = conv.Parameters().back();
+  ASSERT_EQ(old_weights.rows(), 4u);
+  for (size_t e = 0; e < 4; ++e) {
+    old_weights.mutable_value().At(e, 0) = 2.0f + static_cast<float>(e);
+  }
+
+  // Keeps old edge 2 (as new 0) and old edge 0 (as new 2), adds {2, 4},
+  // drops old edges 1 and 3.
+  Hypergraph new_hg = Hypergraph::FromEdges(5, {{3, 4}, {2, 4}, {0, 1}}).value();
+  conv.ResetStructure(new_hg, {2, -1, 0});
+
+  const Matrix& weights = conv.Parameters().back().value();
+  ASSERT_EQ(weights.rows(), 3u);
+  EXPECT_EQ(weights.At(0, 0), 4.0f);
+  EXPECT_EQ(weights.At(1, 0), 1.0f);
+  EXPECT_EQ(weights.At(2, 0), 2.0f);
+  EXPECT_EQ(conv.pairs().vertex, new_hg.Pairs().vertex);
+  EXPECT_EQ(conv.pairs().edge, new_hg.Pairs().edge);
+
+  // The reset layer computes exactly what a layer built on the new
+  // hypergraph with those weights computes (head weights are drawn from the
+  // layer dimensions only, so the same seed reproduces them).
+  Rng fresh_rng(11);
+  core::AdaptiveHypergraphConv fresh(new_hg, 3, 4, &fresh_rng);
+  fresh.Parameters().back().mutable_value() = weights;
+  Matrix x = Matrix::FromRows(
+      {{1, 0, 2}, {0, 1, 1}, {3, 1, 0}, {1, 1, 1}, {0, 2, 1}});
+  Matrix got = conv.Forward(autograd::Constant(x)).value();
+  Matrix want = fresh.Forward(autograd::Constant(x)).value();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.rows(); ++i) {
+    for (size_t j = 0; j < got.cols(); ++j) {
+      EXPECT_EQ(got.At(i, j), want.At(i, j)) << "row " << i << " col " << j;
+    }
+  }
 }
 
 }  // namespace

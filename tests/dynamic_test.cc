@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -208,43 +209,53 @@ TEST(DynamicAnalyticsTest, MotifCountsMatchFullRebuildAfterDeltas) {
 }
 
 TEST(DynamicAnalyticsTest, WarmInfluenceMatchesColdSolve) {
-  data::SocialDataset dataset = TestDataset();
-  DynamicPipelineOptions options = SmallOptions();
-  auto pipeline = DynamicTrustPipeline::Create(dataset, options).value();
-  int saved_total = 0;
-  for (const GraphDelta& delta : TestDeltas(dataset, 6)) {
-    auto outcome = pipeline.ApplyDelta(delta);
-    ASSERT_TRUE(outcome.ok());
-    if (!outcome->receipt.structural_change()) continue;
+  // The small fixture and a 1,026-user graph: at the larger size the solves
+  // need tens of iterations, so a warm start that stops at the cap would
+  // save none.
+  for (double scale : {0.0, 0.25}) {
+    SCOPED_TRACE(scale == 0.0 ? "60-user fixture" : "CiaoLike 0.25");
+    data::SocialDataset dataset =
+        scale == 0.0 ? TestDataset()
+                     : data::SocialNetworkGenerator(
+                           data::GeneratorConfig::CiaoLike(scale))
+                           .Generate();
+    DynamicPipelineOptions options = SmallOptions();
+    auto pipeline = DynamicTrustPipeline::Create(dataset, options).value();
+    int saved_total = 0;
+    for (const GraphDelta& delta : TestDeltas(dataset, 6)) {
+      auto outcome = pipeline.ApplyDelta(delta);
+      ASSERT_TRUE(outcome.ok());
+      if (!outcome->receipt.structural_change()) continue;
 
-    graph::MotifPageRankOptions mpr;
-    mpr.alpha = options.model.mpr_alpha;
-    mpr.motif = options.model.motif;
-    mpr.pagerank = options.model.pagerank;
-    std::vector<double> cold =
-        graph::MotifPageRankFrom(pipeline.store().View().Adjacency(),
-                                 pipeline.motif_counts()->ToCsr(), mpr)
-            .scores;
-    ASSERT_EQ(pipeline.influence().size(), cold.size());
-    // PowerIterate runs its SpMV in float (the score vector is quantized to
-    // float every iteration), so warm and cold solves converge to slightly
-    // different fixed points of the float-roundtripped map: the reachable
-    // agreement floor is ~3e-9 regardless of the 1e-12 stop tolerance.
-    // Bound the comparison just above that noise floor.
-    for (size_t i = 0; i < cold.size(); ++i) {
-      double bound = 1e-9 + 1e-6 * std::abs(cold[i]);
-      EXPECT_NEAR(pipeline.influence()[i], cold[i], bound) << "node " << i;
+      graph::MotifPageRankOptions mpr;
+      mpr.alpha = options.model.mpr_alpha;
+      mpr.motif = options.model.motif;
+      mpr.pagerank = options.model.pagerank;
+      std::vector<double> cold =
+          graph::MotifPageRankFrom(pipeline.store().View().Adjacency(),
+                                   pipeline.motif_counts()->ToCsr(), mpr)
+              .scores;
+      ASSERT_EQ(pipeline.influence().size(), cold.size());
+      // PowerIterate runs its SpMV in float (the score vector is quantized
+      // to float every iteration), so warm and cold solves converge to
+      // slightly different fixed points of the float-roundtripped map: the
+      // reachable agreement floor is ~3e-9. Bound the comparison just above
+      // that noise floor.
+      for (size_t i = 0; i < cold.size(); ++i) {
+        double bound = 1e-9 + 1e-6 * std::abs(cold[i]);
+        EXPECT_NEAR(pipeline.influence()[i], cold[i], bound) << "node " << i;
+      }
+      EXPECT_GT(outcome->pagerank_iterations, 0);
+      EXPECT_LE(outcome->pagerank_iterations,
+                outcome->pagerank_cold_iterations);
+      saved_total += outcome->pagerank_cold_iterations -
+                     outcome->pagerank_iterations;
     }
-    EXPECT_GT(outcome->pagerank_iterations, 0);
-    EXPECT_LE(outcome->pagerank_iterations,
-              outcome->pagerank_cold_iterations);
-    saved_total += outcome->pagerank_cold_iterations -
-                   outcome->pagerank_iterations;
+    // Warm starts must actually save iterations over the run (the
+    // telemetry the bench reports); equality everywhere would mean the warm
+    // start is not wired through or both solves stop at the cap.
+    EXPECT_GT(saved_total, 0);
   }
-  // Warm starts must actually save iterations over the run (the telemetry
-  // the bench reports); equality everywhere would mean the warm start is
-  // not wired through.
-  EXPECT_GT(saved_total, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -339,6 +350,56 @@ INSTANTIATE_TEST_SUITE_P(
                   : "_fp32");
     });
 
+// Deltas that change no edge: a rating-only delta (features move, both
+// branch structures stay) and a delta whose adds the store ignores
+// (duplicates and self-loops: nothing derived moves). Either way the live
+// plan must equal the rebuild bitwise and the generation must bump.
+TEST(DynamicNonStructuralTest, MatchesRebuildBitwise) {
+  data::SocialDataset dataset = TestDataset();
+  auto pipeline =
+      DynamicTrustPipeline::Create(dataset, SmallOptions()).value();
+  pipeline.predictor().WarmInferencePlan();
+  const graph::Edge present = pipeline.store().CanonicalEdges().front();
+
+  GraphDelta ratings_only;
+  ratings_only.add_ratings = {{/*user=*/0, /*item=*/1, /*rating=*/5.0f},
+                              {/*user=*/7, /*item=*/3, /*rating=*/1.0f}};
+  GraphDelta ignored_adds;
+  ignored_adds.add_edges = {present, {4, 4}, present};
+
+  const tensor::Matrix features_before = pipeline.features();
+  std::vector<data::TrustPair> pairs = Queries(dataset, 24);
+  for (const GraphDelta& delta : {ratings_only, ignored_adds}) {
+    const int64_t generation = pipeline.generation();
+    auto outcome = pipeline.ApplyDelta(delta);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_FALSE(outcome->receipt.structural_change());
+    EXPECT_EQ(pipeline.generation(), generation + 1);
+
+    auto oracle = pipeline.RebuildFromScratch();
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    std::vector<float> expected =
+        oracle->predictor().PredictProbabilities(pairs);
+    for (int threads : {1, 2, 8}) {
+      SetNumThreads(threads);
+      std::vector<float> got =
+          pipeline.predictor().PredictProbabilities(pairs);
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], expected[i]) << "pair " << i << " threads="
+                                       << threads;
+      }
+    }
+    SetNumThreads(0);
+  }
+  // The rating delta did reach the features (the rated user's row moved).
+  const size_t cols = features_before.cols();
+  EXPECT_NE(std::vector<float>(features_before.RowPtr(0),
+                               features_before.RowPtr(0) + cols),
+            std::vector<float>(pipeline.features().RowPtr(0),
+                               pipeline.features().RowPtr(0) + cols));
+}
+
 TEST(DynamicShardedTest, ShardedPlanPatchedRowsMatchOracle) {
   data::SocialDataset dataset = TestDataset();
   auto pipeline =
@@ -365,6 +426,42 @@ TEST(DynamicShardedTest, ShardedPlanPatchedRowsMatchOracle) {
       EXPECT_EQ(got[i], expected[i]) << "pair " << i;
     }
   }
+  std::filesystem::remove_all(spill_dir);
+}
+
+// A sharded plan whose re-spill fails during ApplyDelta's plan rebuild: the
+// IoError comes back as ApplyDelta's status (no abort), and once the spill
+// directory is usable again the plan rebuilds at its next use and matches
+// the oracle.
+TEST(DynamicShardedTest, SpillFailureDuringApplyReturnsStatus) {
+  data::SocialDataset dataset = TestDataset();
+  auto pipeline =
+      DynamicTrustPipeline::Create(dataset, SmallOptions()).value();
+  const std::string spill_dir = ::testing::TempDir() + "/dynamic_spill_fail_" +
+                                std::to_string(getpid());
+  std::filesystem::remove_all(spill_dir);
+  models::ShardedPlanOptions sharded;
+  sharded.num_shards = 4;
+  sharded.max_resident_shards = 2;
+  sharded.spill_dir = spill_dir;
+  pipeline.predictor().EnableShardedInference(sharded);
+  pipeline.predictor().WarmInferencePlan();
+
+  // A regular file where the spill directory was: every block write fails.
+  std::filesystem::remove_all(spill_dir);
+  { std::ofstream(spill_dir) << "not a directory"; }
+  std::vector<GraphDelta> deltas = TestDeltas(dataset, 1);
+  auto failed = pipeline.ApplyDelta(deltas[0]);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(pipeline.generation(), 1);
+
+  std::filesystem::remove(spill_dir);
+  auto oracle = pipeline.RebuildFromScratch();
+  ASSERT_TRUE(oracle.ok());
+  std::vector<data::TrustPair> pairs = Queries(dataset, 24);
+  EXPECT_EQ(pipeline.predictor().PredictProbabilities(pairs),
+            oracle->predictor().PredictProbabilities(pairs));
   std::filesystem::remove_all(spill_dir);
 }
 
