@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/cpu.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/adaptive_conv.h"
@@ -14,6 +15,8 @@
 #include "data/generator.h"
 #include "graph/pagerank.h"
 #include "hypergraph/builders.h"
+#include "tensor/kernels.h"
+#include "tensor/workspace.h"
 
 namespace {
 
@@ -256,7 +259,15 @@ BENCHMARK(BM_NormalizedAdjacency);
 // (DESIGN.md ablation 2)
 // ---------------------------------------------------------------------------
 
-void AdaptiveConvBenchmark(benchmark::State& state, bool use_attention) {
+/// Which pass of the adaptive conv a benchmark times.
+enum class ConvPass { kForward, kBackward, kInfer };
+
+/// Times one pass of a 64-wide conv over the attribute + pairwise
+/// hypergraph. Counters: `pairs` (the hypergraph's incidence pairs) and,
+/// for kInfer, `workspace_bytes` (the arena of one pass; with attention on
+/// it holds two pairs x 1 columns and no pairs x d buffer).
+void AdaptiveConvBenchmark(benchmark::State& state, bool use_attention,
+                           ConvPass pass) {
   const data::SocialDataset& ds = Dataset();
   Rng rng(7);
   hypergraph::Hypergraph hg = hypergraph::Hypergraph::Concat(
@@ -266,20 +277,129 @@ void AdaptiveConvBenchmark(benchmark::State& state, bool use_attention) {
   core::AdaptiveHypergraphConv conv(hg, features.cols(), 64, &rng,
                                     use_attention);
   autograd::Variable x = autograd::Constant(features);
+  tensor::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(x));
+    switch (pass) {
+      case ConvPass::kForward:
+        benchmark::DoNotOptimize(conv.Forward(x));
+        break;
+      case ConvPass::kBackward: {
+        state.PauseTiming();
+        for (autograd::Variable& p : conv.Parameters()) p.ZeroGrad();
+        autograd::Variable loss = autograd::ReduceSum(conv.Forward(x));
+        state.ResumeTiming();
+        loss.Backward();
+        break;
+      }
+      case ConvPass::kInfer:
+        ws.Reset();
+        benchmark::DoNotOptimize(conv.Infer(features, &ws));
+        break;
+    }
+  }
+  state.counters["pairs"] = static_cast<double>(conv.pairs().size());
+  if (pass == ConvPass::kInfer) {
+    state.counters["workspace_bytes"] = static_cast<double>(ws.bytes());
   }
 }
 
 void BM_AdaptiveConvAttention(benchmark::State& state) {
-  AdaptiveConvBenchmark(state, /*use_attention=*/true);
+  AdaptiveConvBenchmark(state, /*use_attention=*/true, ConvPass::kForward);
 }
 BENCHMARK(BM_AdaptiveConvAttention);
 
+void BM_AdaptiveConvAttentionBackward(benchmark::State& state) {
+  AdaptiveConvBenchmark(state, /*use_attention=*/true, ConvPass::kBackward);
+}
+BENCHMARK(BM_AdaptiveConvAttentionBackward);
+
+void BM_AdaptiveConvAttentionInfer(benchmark::State& state) {
+  AdaptiveConvBenchmark(state, /*use_attention=*/true, ConvPass::kInfer);
+}
+BENCHMARK(BM_AdaptiveConvAttentionInfer);
+
 void BM_AdaptiveConvPlain(benchmark::State& state) {
-  AdaptiveConvBenchmark(state, /*use_attention=*/false);
+  AdaptiveConvBenchmark(state, /*use_attention=*/false, ConvPass::kForward);
 }
 BENCHMARK(BM_AdaptiveConvPlain);
+
+void BM_AdaptiveConvPlainInfer(benchmark::State& state) {
+  AdaptiveConvBenchmark(state, /*use_attention=*/false, ConvPass::kInfer);
+}
+BENCHMARK(BM_AdaptiveConvPlainInfer);
+
+// ---------------------------------------------------------------------------
+// The two pair attention kernels alone, scalar loop vs AVX2 primitive, at
+// 1 and 4 workers. Args: {isa (0 scalar, 1 avx2), threads}. The shape is a
+// 4,104-user structure branch: ~148k pairs into 3,000 hyperedges, d = 64.
+// ---------------------------------------------------------------------------
+
+struct PairKernelInputs {
+  tensor::PairIndex pairs;
+  tensor::Matrix s_segment, s_source, rows, weight;
+};
+
+const PairKernelInputs& PairInputs() {
+  static const PairKernelInputs* inputs = [] {
+    const size_t n = 4104, m = 3000, p = 148000, d = 64;
+    Rng rng(17);
+    std::vector<int> segment(p), source(p);
+    for (size_t i = 0; i < p; ++i) {
+      segment[i] = static_cast<int>(rng.NextBounded(n));
+      source[i] = static_cast<int>(rng.NextBounded(m));
+    }
+    auto* in = new PairKernelInputs;
+    in->pairs = tensor::PairIndex::Build(std::move(segment),
+                                         std::move(source), n, m);
+    in->s_segment = tensor::Matrix::Randn(n, 1, &rng);
+    in->s_source = tensor::Matrix::Randn(m, 1, &rng);
+    in->rows = tensor::Matrix::Randn(m, d, &rng);
+    in->weight = tensor::Matrix::Randn(p, 1, &rng);
+    return in;
+  }();
+  return *inputs;
+}
+
+/// Installs the kernel ISA of Arg 0 for one benchmark; false (and the
+/// benchmark skipped) when this build or CPU has no AVX2.
+bool SelectIsa(benchmark::State& state) {
+  const KernelIsa isa =
+      state.range(0) == 0 ? KernelIsa::kScalar : KernelIsa::kAvx2;
+  if (!KernelIsaSupported(isa)) {
+    state.SkipWithError("AVX2 kernels unavailable");
+    return false;
+  }
+  SetKernelIsa(isa);
+  return true;
+}
+
+void BM_PairScore(benchmark::State& state) {
+  const KernelIsa previous = ActiveKernelIsa();
+  if (!SelectIsa(state)) return;
+  ThreadScope scope(static_cast<int>(state.range(1)));
+  const PairKernelInputs& in = PairInputs();
+  tensor::Matrix out;
+  for (auto _ : state) {
+    tensor::PairScoreInto(&out, in.s_segment, in.s_source, in.pairs);
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetKernelIsa(previous);
+}
+BENCHMARK(BM_PairScore)->ArgsProduct({{0, 1}, {1, 4}});
+
+void BM_PairAggregate(benchmark::State& state) {
+  const KernelIsa previous = ActiveKernelIsa();
+  if (!SelectIsa(state)) return;
+  ThreadScope scope(static_cast<int>(state.range(1)));
+  const PairKernelInputs& in = PairInputs();
+  tensor::Matrix out;
+  for (auto _ : state) {
+    tensor::PairAggregateInto(&out, in.rows, in.weight, in.pairs);
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetKernelIsa(previous);
+}
+BENCHMARK(BM_PairAggregate)->ArgsProduct({{0, 1}, {1, 4}});
 
 }  // namespace
 

@@ -1,8 +1,10 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "tensor/kernels.h"
 
 namespace ahntp::autograd {
@@ -24,6 +26,25 @@ Variable MakeOp(Matrix value, std::vector<std::shared_ptr<Node>> inputs,
   node->inputs = std::move(inputs);
   if (node->requires_grad) node->backward = std::move(backward);
   return Variable(node);
+}
+
+/// out(k, 0) = sum of v(p, 0) over the pair ids p of group k of a
+/// tensor::PairIndex grouping (ptr/order), in ascending p.
+Matrix GroupSums(const Matrix& v, const std::vector<int>& ptr,
+                 const std::vector<int>& order) {
+  const size_t groups = ptr.size() - 1;
+  const size_t avg = v.rows() / std::max<size_t>(groups, 1) + 1;
+  Matrix out(groups, 1);
+  ParallelFor(0, groups, GrainForCost(avg), [&](size_t k0, size_t k1) {
+    for (size_t k = k0; k < k1; ++k) {
+      float sum = 0.0f;
+      for (int i = ptr[k]; i < ptr[k + 1]; ++i) {
+        sum += v.At(static_cast<size_t>(order[i]), 0);
+      }
+      out.At(k, 0) = sum;
+    }
+  });
+  return out;
 }
 
 }  // namespace
@@ -439,6 +460,131 @@ Variable SegmentSoftmax(const Variable& a, const std::vector<int>& segments,
     }
     an->AccumulateGrad(g);
   });
+}
+
+Variable PairAttention(const Variable& segment_rows,
+                       const Variable& beta_segment,
+                       const Variable& source_rows,
+                       const Variable& beta_source,
+                       std::shared_ptr<const tensor::PairIndex> pairs,
+                       float negative_slope, Matrix* alpha) {
+  AHNTP_CHECK(pairs != nullptr);
+  Matrix s_segment, s_source, pre, act, weights, out;
+  tensor::PairAttentionInto(segment_rows.value(), beta_segment.value(),
+                            source_rows.value(), beta_source.value(), *pairs,
+                            negative_slope,
+                            {&s_segment, &s_source, &pre, &act, &weights,
+                             &out});
+  if (alpha != nullptr) *alpha = weights;
+  auto tn = segment_rows.node();
+  auto btn = beta_segment.node();
+  auto sn = source_rows.node();
+  auto bsn = beta_source.node();
+  return MakeOp(
+      std::move(out), {tn, btn, sn, bsn},
+      [tn, btn, sn, bsn, pairs, pre = std::move(pre),
+       weights = std::move(weights), negative_slope](Node& self) {
+        // Every loop below owns whole output rows (a pair, a segment or a
+        // source), so the pass is parallel and each row sums in ascending p
+        // exactly as the gather/scatter ops it replaces did.
+        const tensor::PairIndex& pi = *pairs;
+        const Matrix& g = self.grad;
+        const Matrix& src = sn->value;
+        const size_t cols = src.cols();
+        const size_t np = pi.size();
+        // d alpha_p = <G[s_p], S[e_p]> in double (MulColBroadcast's rule).
+        Matrix d_score(np, 1);
+        ParallelFor(0, np, GrainForCost(cols), [&](size_t p0, size_t p1) {
+          for (size_t p = p0; p < p1; ++p) {
+            const float* grow = g.RowPtr(static_cast<size_t>(pi.segment[p]));
+            const float* srow = src.RowPtr(static_cast<size_t>(pi.source[p]));
+            double acc = 0.0;
+            for (size_t c = 0; c < cols; ++c) {
+              acc += static_cast<double>(grow[c]) * srow[c];
+            }
+            d_score.At(p, 0) = static_cast<float>(acc);
+          }
+        });
+        // Softmax then LeakyReLU backward, per segment (ascending p, like
+        // SegmentSoftmax's serial loop), in place over d alpha.
+        const size_t avg = np / std::max<size_t>(pi.num_segments, 1) + 1;
+        ParallelFor(0, pi.num_segments, GrainForCost(avg),
+                    [&](size_t s0, size_t s1) {
+          for (size_t s = s0; s < s1; ++s) {
+            const int k0 = pi.segment_ptr[s];
+            const int k1 = pi.segment_ptr[s + 1];
+            double weighted = 0.0;
+            for (int k = k0; k < k1; ++k) {
+              const size_t p = static_cast<size_t>(pi.by_segment[k]);
+              weighted +=
+                  static_cast<double>(d_score.At(p, 0)) * weights.At(p, 0);
+            }
+            for (int k = k0; k < k1; ++k) {
+              const size_t p = static_cast<size_t>(pi.by_segment[k]);
+              float d = weights.At(p, 0) *
+                        (d_score.At(p, 0) - static_cast<float>(weighted));
+              if (pre.At(p, 0) < 0.0f) d *= negative_slope;
+              d_score.At(p, 0) = d;
+            }
+          }
+        });
+        if (tn->requires_grad) {
+          // Row s sums d_score_p * beta over its pairs: the scatter of
+          // MatMul's p x d input gradient without building it.
+          const float* beta = btn->value.data();
+          const size_t tcols = tn->value.cols();
+          Matrix dt(pi.num_segments, tcols);
+          ParallelFor(0, pi.num_segments, GrainForCost(avg * tcols),
+                      [&](size_t s0, size_t s1) {
+            for (size_t s = s0; s < s1; ++s) {
+              float* row = dt.RowPtr(s);
+              for (int k = pi.segment_ptr[s]; k < pi.segment_ptr[s + 1];
+                   ++k) {
+                const float d =
+                    d_score.At(static_cast<size_t>(pi.by_segment[k]), 0);
+                for (size_t c = 0; c < tcols; ++c) row[c] += d * beta[c];
+              }
+            }
+          });
+          tn->AccumulateGrad(dt);
+        }
+        if (sn->requires_grad) {
+          // Per pair, the message term plus the score term, then the
+          // scatter into source row e: the order of the two-consumer tape.
+          const float* beta = bsn->value.data();
+          const size_t avg_src =
+              np / std::max<size_t>(pi.num_sources, 1) + 1;
+          Matrix ds(pi.num_sources, cols);
+          ParallelFor(0, pi.num_sources, GrainForCost(avg_src * cols),
+                      [&](size_t e0, size_t e1) {
+            for (size_t e = e0; e < e1; ++e) {
+              float* row = ds.RowPtr(e);
+              for (int k = pi.source_ptr[e]; k < pi.source_ptr[e + 1]; ++k) {
+                const size_t p = static_cast<size_t>(pi.by_source[k]);
+                const float a = weights.At(p, 0);
+                const float d = d_score.At(p, 0);
+                const float* grow =
+                    g.RowPtr(static_cast<size_t>(pi.segment[p]));
+                for (size_t c = 0; c < cols; ++c) {
+                  row[c] += grow[c] * a + d * beta[c];
+                }
+              }
+            }
+          });
+          sn->AccumulateGrad(ds);
+        }
+        // beta gradients: per-row sums of d_score, then rows^T * sums.
+        if (btn->requires_grad) {
+          btn->AccumulateGrad(tensor::MatMul(
+              tn->value, GroupSums(d_score, pi.segment_ptr, pi.by_segment),
+              /*transpose_a=*/true, /*transpose_b=*/false));
+        }
+        if (bsn->requires_grad) {
+          bsn->AccumulateGrad(tensor::MatMul(
+              sn->value, GroupSums(d_score, pi.source_ptr, pi.by_source),
+              /*transpose_a=*/true, /*transpose_b=*/false));
+        }
+      });
 }
 
 Variable RowL2Normalize(const Variable& a, float epsilon) {

@@ -1,11 +1,13 @@
 #ifndef AHNTP_AUTOGRAD_OPS_H_
 #define AHNTP_AUTOGRAD_OPS_H_
 
+#include <memory>
 #include <vector>
 
 #include "autograd/variable.h"
 #include "common/rng.h"
 #include "tensor/csr.h"
+#include "tensor/kernels.h"
 
 namespace ahntp::autograd {
 
@@ -106,6 +108,27 @@ Variable SegmentMean(const Variable& a, const std::vector<int>& segments,
 /// same segment are normalized to sum to 1. Precondition: a is (n x 1).
 Variable SegmentSoftmax(const Variable& a, const std::vector<int>& segments,
                         size_t num_segments);
+
+/// Attention over the pairs p = (segment s, source e) of `pairs`, the shared
+/// core of the adaptive hypergraph conv (Eqs. 14-16) and the GAT layer:
+///   score_p = LeakyReLU(segment_rows[s] . beta_segment
+///                       + source_rows[e] . beta_source)
+///   alpha_p = softmax of score over the pairs of segment s
+///   out[s]  = sum_p alpha_p * source_rows[e]
+/// The forward is bitwise equal to GatherRows -> MatMul -> Add -> LeakyRelu
+/// -> SegmentSoftmax -> MulColBroadcast -> SegmentSum, and so are the
+/// gradients of segment_rows and source_rows; the beta gradients are
+/// summed per row first (a different order, so equal only to rounding).
+/// Neither pass builds a pairs x d matrix. `alpha`, when non-null,
+/// receives alpha (pairs x 1). segment_rows and source_rows may be the
+/// same variable (GAT).
+Variable PairAttention(const Variable& segment_rows,
+                       const Variable& beta_segment,
+                       const Variable& source_rows,
+                       const Variable& beta_source,
+                       std::shared_ptr<const tensor::PairIndex> pairs,
+                       float negative_slope,
+                       tensor::Matrix* alpha = nullptr);
 
 // ---------------------------------------------------------------------------
 // Row-wise geometry

@@ -9,17 +9,32 @@ namespace ahntp::core {
 
 using autograd::Variable;
 
+std::shared_ptr<const HypergraphIncidence> HypergraphIncidence::Build(
+    const hypergraph::Hypergraph& hg) {
+  auto built = std::make_shared<HypergraphIncidence>();
+  tensor::CsrMatrix incidence = hg.Incidence();
+  built->edge_mean = incidence.Transposed().RowNormalized();
+  built->vertex_mean = incidence.RowNormalized();
+  hypergraph::Hypergraph::IncidencePairs pairs = hg.Pairs();
+  built->pairs = tensor::PairIndex::Build(std::move(pairs.vertex),
+                                          std::move(pairs.edge),
+                                          hg.num_vertices(), hg.num_edges());
+  return built;
+}
+
 AdaptiveHypergraphConv::AdaptiveHypergraphConv(
-    const hypergraph::Hypergraph& hg, size_t in_features, size_t out_features,
-    Rng* rng, bool use_attention, float leaky_slope, size_t num_heads)
-    : num_vertices_(hg.num_vertices()),
-      num_edges_(hg.num_edges()),
+    std::shared_ptr<const HypergraphIncidence> incidence, size_t in_features,
+    size_t out_features, Rng* rng, bool use_attention, float leaky_slope,
+    size_t num_heads)
+    : incidence_(std::move(incidence)),
+      num_vertices_(incidence_->pairs.num_segments),
       out_features_(out_features),
       use_attention_(use_attention),
       leaky_slope_(leaky_slope),
-      edge_weight_(
-          autograd::Parameter(tensor::Matrix(hg.num_edges(), 1, 1.0f))) {
-  AHNTP_CHECK_GT(num_edges_, 0u) << "hypergraph has no hyperedges";
+      edge_weight_(autograd::Parameter(
+          tensor::Matrix(incidence_->pairs.num_sources, 1, 1.0f))) {
+  AHNTP_CHECK_GT(incidence_->pairs.num_sources, 0u)
+      << "hypergraph has no hyperedges";
   AHNTP_CHECK_GE(num_heads, 1u);
   if (!use_attention) num_heads = 1;  // heads only differ through attention
   AHNTP_CHECK_EQ(out_features % num_heads, 0u)
@@ -34,48 +49,41 @@ AdaptiveHypergraphConv::AdaptiveHypergraphConv(
     head.attn_edge = autograd::Parameter(nn::XavierUniform(head_dim, 1, rng));
     heads_.push_back(std::move(head));
   }
-  tensor::CsrMatrix incidence = hg.Incidence();
-  edge_mean_ = incidence.Transposed().RowNormalized();
-  vertex_mean_ = incidence.RowNormalized();
-  pairs_ = hg.Pairs();
 }
 
-Variable AdaptiveHypergraphConv::RunHead(
-    const Head& head, const Variable& x, const Variable& h_e,
-    tensor::Matrix* attention_sum) const {
-  // Eqs. 14-16: shared-attention reweighting of incident hyperedges.
-  Variable wh_e = head.transform->Forward(h_e);  // m x d_h
-  Variable wx = head.transform->Forward(x);      // n x d_h
-  Variable wx_pairs = autograd::GatherRows(wx, pairs_.vertex);
-  Variable whe_pairs = autograd::GatherRows(wh_e, pairs_.edge);
-  Variable score = autograd::LeakyRelu(
-      autograd::Add(autograd::MatMul(wx_pairs, head.attn_vertex),
-                    autograd::MatMul(whe_pairs, head.attn_edge)),
-      leaky_slope_);
-  Variable alpha =
-      autograd::SegmentSoftmax(score, pairs_.vertex, num_vertices_);
-  *attention_sum += alpha.value();
-  Variable weighted = autograd::MulColBroadcast(whe_pairs, alpha);
-  return autograd::SegmentSum(weighted, pairs_.vertex, num_vertices_);
-}
+AdaptiveHypergraphConv::AdaptiveHypergraphConv(
+    const hypergraph::Hypergraph& hg, size_t in_features, size_t out_features,
+    Rng* rng, bool use_attention, float leaky_slope, size_t num_heads)
+    : AdaptiveHypergraphConv(HypergraphIncidence::Build(hg), in_features,
+                             out_features, rng, use_attention, leaky_slope,
+                             num_heads) {}
 
 Variable AdaptiveHypergraphConv::Forward(const Variable& x) const {
   AHNTP_CHECK_EQ(x.rows(), num_vertices_);
   // Step 1: Mess_e (Eq. 10) and the adaptive reweighting h_e (Eq. 11).
-  Variable mess_e = autograd::SpMMConst(edge_mean_, x);
+  Variable mess_e = autograd::SpMMConst(incidence_->edge_mean, x);
   Variable h_e = autograd::MulColBroadcast(mess_e, edge_weight_);
 
   if (!use_attention_) {
     // Eqs. 12-13: mean over incident hyperedges, then theta + ReLU.
-    Variable mess_v = autograd::SpMMConst(vertex_mean_, h_e);
+    Variable mess_v = autograd::SpMMConst(incidence_->vertex_mean, h_e);
     return autograd::Relu(heads_.front().transform->Forward(mess_v));
   }
 
-  tensor::Matrix attention_sum(pairs_.vertex.size(), 1);
+  // Eqs. 14-16 per head: shared-attention reweighting of incident edges.
+  std::shared_ptr<const tensor::PairIndex> pairs(incidence_,
+                                                 &incidence_->pairs);
+  tensor::Matrix attention_sum(pairs->size(), 1);
+  tensor::Matrix alpha;
   std::vector<Variable> head_outputs;
   head_outputs.reserve(heads_.size());
   for (const Head& head : heads_) {
-    head_outputs.push_back(RunHead(head, x, h_e, &attention_sum));
+    Variable wh_e = head.transform->Forward(h_e);  // m x d_h
+    Variable wx = head.transform->Forward(x);      // n x d_h
+    head_outputs.push_back(autograd::PairAttention(
+        wx, head.attn_vertex, wh_e, head.attn_edge, pairs, leaky_slope_,
+        &alpha));
+    attention_sum += alpha;
   }
   attention_sum *= 1.0f / static_cast<float>(heads_.size());
   last_attention_ = attention_sum;
@@ -89,41 +97,29 @@ tensor::Matrix& AdaptiveHypergraphConv::Infer(const tensor::Matrix& x,
                                               tensor::Workspace* ws) const {
   using tensor::Matrix;
   AHNTP_CHECK_EQ(x.rows(), num_vertices_);
-  Matrix* mess_e = ws->Acquire(edge_mean_.rows(), x.cols());
-  tensor::SpMMInto(mess_e, edge_mean_, x);
-  Matrix* h_e = ws->Acquire(mess_e->rows(), mess_e->cols());
-  tensor::MulColBroadcastInto(h_e, *mess_e, edge_weight_.value());
+  const tensor::PairIndex& pairs = incidence_->pairs;
+  // h_e = w_e * Mess_e, computed in place.
+  Matrix* h_e = ws->Acquire(pairs.num_sources, x.cols());
+  tensor::SpMMInto(h_e, incidence_->edge_mean, x);
+  tensor::MulColBroadcastInto(h_e, *h_e, edge_weight_.value());
 
   if (!use_attention_) {
-    Matrix* mess_v = ws->Acquire(vertex_mean_.rows(), h_e->cols());
-    tensor::SpMMInto(mess_v, vertex_mean_, *h_e);
+    Matrix* mess_v = ws->Acquire(num_vertices_, h_e->cols());
+    tensor::SpMMInto(mess_v, incidence_->vertex_mean, *h_e);
     Matrix& out = nn::InferLinear(*heads_.front().transform, *mess_v, ws);
     tensor::ReluInto(&out, out);
     return out;
   }
 
-  const size_t p = pairs_.vertex.size();
   std::vector<Matrix*> head_outputs;
   head_outputs.reserve(heads_.size());
   for (const Head& head : heads_) {
     Matrix& wh_e = nn::InferLinear(*head.transform, *h_e, ws);
     Matrix& wx = nn::InferLinear(*head.transform, x, ws);
-    Matrix* wx_pairs = ws->Acquire(p, wx.cols());
-    tensor::GatherRowsInto(wx_pairs, wx, pairs_.vertex);
-    Matrix* whe_pairs = ws->Acquire(p, wh_e.cols());
-    tensor::GatherRowsInto(whe_pairs, wh_e, pairs_.edge);
-    Matrix* score = ws->Acquire(p, 1);
-    tensor::MatMulInto(score, *wx_pairs, head.attn_vertex.value());
-    Matrix* score_edge = ws->Acquire(p, 1);
-    tensor::MatMulInto(score_edge, *whe_pairs, head.attn_edge.value());
-    tensor::AddInto(score, *score, *score_edge);
-    tensor::LeakyReluInto(score, *score, leaky_slope_);
-    Matrix* alpha = ws->Acquire(p, 1);
-    tensor::SegmentSoftmaxInto(alpha, *score, pairs_.vertex, num_vertices_);
-    tensor::MulColBroadcastInto(whe_pairs, *whe_pairs, *alpha);
-    Matrix* agg = ws->Acquire(num_vertices_, whe_pairs->cols());
-    tensor::SegmentSumInto(agg, *whe_pairs, pairs_.vertex, num_vertices_);
-    head_outputs.push_back(agg);
+    Matrix& agg =
+        nn::InferPairAttention(wx, head.attn_vertex.value(), wh_e,
+                               head.attn_edge.value(), pairs, leaky_slope_, ws);
+    head_outputs.push_back(&agg);
   }
   Matrix* combined = head_outputs.front();
   if (head_outputs.size() > 1) {
@@ -137,25 +133,23 @@ tensor::Matrix& AdaptiveHypergraphConv::Infer(const tensor::Matrix& x,
 }
 
 void AdaptiveHypergraphConv::ResetStructure(
-    const hypergraph::Hypergraph& hg, const std::vector<int>& new_from_old) {
-  AHNTP_CHECK_EQ(hg.num_vertices(), num_vertices_);
-  AHNTP_CHECK_GT(hg.num_edges(), 0u) << "hypergraph has no hyperedges";
-  AHNTP_CHECK_EQ(new_from_old.size(), hg.num_edges());
-  tensor::Matrix weights(hg.num_edges(), 1, 1.0f);
+    std::shared_ptr<const HypergraphIncidence> incidence,
+    const std::vector<int>& new_from_old) {
+  const size_t num_edges = incidence->pairs.num_sources;
+  AHNTP_CHECK_EQ(incidence->pairs.num_segments, num_vertices_);
+  AHNTP_CHECK_GT(num_edges, 0u) << "hypergraph has no hyperedges";
+  AHNTP_CHECK_EQ(new_from_old.size(), num_edges);
+  tensor::Matrix weights(num_edges, 1, 1.0f);
   const tensor::Matrix& old_weights = edge_weight_.value();
-  for (size_t e = 0; e < hg.num_edges(); ++e) {
+  for (size_t e = 0; e < num_edges; ++e) {
     const int old_e = new_from_old[e];
     if (old_e >= 0) {
-      AHNTP_CHECK(static_cast<size_t>(old_e) < num_edges_);
+      AHNTP_CHECK(static_cast<size_t>(old_e) < old_weights.rows());
       weights.At(e, 0) = old_weights.At(static_cast<size_t>(old_e), 0);
     }
   }
   edge_weight_ = autograd::Parameter(std::move(weights));
-  num_edges_ = hg.num_edges();
-  tensor::CsrMatrix incidence = hg.Incidence();
-  edge_mean_ = incidence.Transposed().RowNormalized();
-  vertex_mean_ = incidence.RowNormalized();
-  pairs_ = hg.Pairs();
+  incidence_ = std::move(incidence);
   last_attention_ = tensor::Matrix();
 }
 

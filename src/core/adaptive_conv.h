@@ -10,6 +10,19 @@
 
 namespace ahntp::core {
 
+/// The incidence-derived structures of one hypergraph. They depend on the
+/// hypergraph alone, so every conv of a branch shares one copy.
+struct HypergraphIncidence {
+  tensor::CsrMatrix edge_mean;    // (m x n) D_e^{-1} H^T
+  tensor::CsrMatrix vertex_mean;  // (n x m) per-vertex mean over edges
+  /// Attention pairs, edge-major (hypergraph::Hypergraph::Pairs order):
+  /// segment = vertex, source = hyperedge.
+  tensor::PairIndex pairs;
+
+  static std::shared_ptr<const HypergraphIncidence> Build(
+      const hypergraph::Hypergraph& hg);
+};
+
 /// The paper's two-step adaptive hypergraph convolution (Section IV-C).
 ///
 /// Step 1 — vertex -> hyperedge (Eqs. 10-11):
@@ -29,6 +42,11 @@ class AdaptiveHypergraphConv : public nn::Module {
   /// evenly across heads, each with its own transform and beta, and the
   /// head outputs are concatenated (a natural extension of the paper's
   /// single-head design; requires out_features % num_heads == 0).
+  AdaptiveHypergraphConv(std::shared_ptr<const HypergraphIncidence> incidence,
+                         size_t in_features, size_t out_features, Rng* rng,
+                         bool use_attention = true, float leaky_slope = 0.2f,
+                         size_t num_heads = 1);
+  /// Builds a private HypergraphIncidence of `hg`.
   AdaptiveHypergraphConv(const hypergraph::Hypergraph& hg, size_t in_features,
                          size_t out_features, Rng* rng,
                          bool use_attention = true, float leaky_slope = 0.2f,
@@ -41,15 +59,14 @@ class AdaptiveHypergraphConv : public nn::Module {
   /// Does not update last_attention() — explanations stay on the tape path.
   tensor::Matrix& Infer(const tensor::Matrix& x, tensor::Workspace* ws) const;
 
-  /// Rebuilds the incidence-derived structures (edge/vertex means,
-  /// attention pairs, edge count) for a mutated hypergraph over the same
-  /// vertex set. `new_from_old[e]` names the previous edge whose trained
+  /// Switches to the incidence structures of a mutated hypergraph over the
+  /// same vertex set. `new_from_old[e]` names the previous edge whose trained
   /// adaptive weight w_e edge e inherits, or -1 for a brand-new edge
   /// (weight 1, the init value). Head weights are untouched — they are
   /// structure-independent. Note: replaces the edge-weight parameter
   /// object, so optimizers holding the old Parameters() list must be
   /// rebuilt before further training (the serving path never trains).
-  void ResetStructure(const hypergraph::Hypergraph& hg,
+  void ResetStructure(std::shared_ptr<const HypergraphIncidence> incidence,
                       const std::vector<int>& new_from_old);
 
   std::vector<autograd::Variable> Parameters() const override;
@@ -60,9 +77,7 @@ class AdaptiveHypergraphConv : public nn::Module {
   size_t num_heads() const { return heads_.size(); }
 
   /// Incidence pairs this layer attends over (edge-major order).
-  const hypergraph::Hypergraph::IncidencePairs& pairs() const {
-    return pairs_;
-  }
+  const tensor::PairIndex& pairs() const { return incidence_->pairs; }
 
   /// Attention coefficients w_ie (Eq. 15) of the most recent Forward()
   /// call, one per incidence pair (head-averaged when multi-head) — the raw
@@ -71,9 +86,7 @@ class AdaptiveHypergraphConv : public nn::Module {
   const tensor::Matrix& last_attention() const { return last_attention_; }
 
  private:
-  tensor::CsrMatrix edge_mean_;    // (m x n) D_e^{-1} H^T
-  tensor::CsrMatrix vertex_mean_;  // (n x m) per-vertex mean over edges
-  hypergraph::Hypergraph::IncidencePairs pairs_;
+  std::shared_ptr<const HypergraphIncidence> incidence_;
   /// One attention head: its own W and beta halves.
   struct Head {
     std::unique_ptr<nn::Linear> transform;  // W (theta when attention off)
@@ -81,13 +94,7 @@ class AdaptiveHypergraphConv : public nn::Module {
     autograd::Variable attn_edge;           // beta, hyperedge half (d_h x 1)
   };
 
-  /// Runs one head's Eq. 14-16 pass; appends its attention snapshot.
-  autograd::Variable RunHead(const Head& head, const autograd::Variable& x,
-                             const autograd::Variable& h_e,
-                             tensor::Matrix* attention_sum) const;
-
   size_t num_vertices_;
-  size_t num_edges_;
   size_t out_features_;
   bool use_attention_;
   float leaky_slope_;

@@ -76,10 +76,11 @@ AhntpModel::Branch AhntpModel::MakeBranch(const Hypergraph& hg, size_t in_dim,
   branch.feature_mlp = std::make_unique<nn::Mlp>(
       std::vector<size_t>{in_dim, dims[0]}, rng, nn::Activation::kRelu,
       nn::Activation::kRelu);
+  auto incidence = HypergraphIncidence::Build(hg);
   size_t prev = dims[0];
   for (size_t out : dims) {
     branch.convs.push_back(std::make_unique<AdaptiveHypergraphConv>(
-        hg, prev, out, rng, config_.use_attention, /*leaky_slope=*/0.2f,
+        incidence, prev, out, rng, config_.use_attention, /*leaky_slope=*/0.2f,
         config_.attention_heads));
     prev = out;
   }
@@ -139,8 +140,9 @@ void AhntpModel::InstallInputs(tensor::Matrix features,
   auto reset = [](Branch& branch, BranchUpdate& update, Hypergraph* hg,
                   std::vector<std::string>* sources) {
     AHNTP_CHECK_EQ(update.edge_sources.size(), update.hypergraph.num_edges());
+    auto incidence = HypergraphIncidence::Build(update.hypergraph);
     for (auto& conv : branch.convs) {
-      conv->ResetStructure(update.hypergraph, update.new_from_old);
+      conv->ResetStructure(incidence, update.new_from_old);
     }
     *hg = std::move(update.hypergraph);
     *sources = std::move(update.edge_sources);
@@ -183,16 +185,18 @@ std::vector<AhntpModel::HyperedgeInfluence> AhntpModel::ExplainUser(
     const AdaptiveHypergraphConv& last = *view.branch->convs.back();
     const auto& pairs = last.pairs();
     const tensor::Matrix& attention = last.last_attention();
-    AHNTP_CHECK_EQ(attention.rows(), pairs.vertex.size());
-    for (size_t p = 0; p < pairs.vertex.size(); ++p) {
-      if (pairs.vertex[p] != u) continue;
+    AHNTP_CHECK_EQ(attention.rows(), pairs.size());
+    const size_t user = static_cast<size_t>(u);
+    for (int k = pairs.segment_ptr[user]; k < pairs.segment_ptr[user + 1];
+         ++k) {
+      const size_t p = static_cast<size_t>(pairs.by_segment[k]);
+      const int edge = pairs.source[p];
       HyperedgeInfluence info;
       info.branch = view.name;
-      info.edge_index = pairs.edge[p];
-      info.source = (*view.sources)[static_cast<size_t>(pairs.edge[p])];
+      info.edge_index = edge;
+      info.source = (*view.sources)[static_cast<size_t>(edge)];
       info.attention = attention.At(p, 0);
-      info.members =
-          view.hg->EdgeVertices(static_cast<size_t>(pairs.edge[p]));
+      info.members = view.hg->EdgeVertices(static_cast<size_t>(edge));
       influences.push_back(std::move(info));
     }
   }

@@ -32,8 +32,10 @@ struct DynamicPipelineOptions {
 struct DeltaOutcome {
   graph::DeltaReceipt receipt;
   /// Power iterations the warm-started influence refresh used, and the
-  /// cold-start count measured at construction. iterations saved =
-  /// cold - warm. Both 0 for rating-only deltas (influence untouched).
+  /// cold-start count of the solve at construction time, on the initial
+  /// graph: it is not re-measured per delta, so cold - warm only estimates
+  /// the saving on the current graph. Both 0 for rating-only deltas
+  /// (influence untouched).
   int pagerank_iterations = 0;
   int pagerank_cold_iterations = 0;
   /// Whether the social hypergroup was re-derived (structural deltas only;

@@ -1,5 +1,6 @@
 #include "models/conv_layers.h"
 
+#include "common/check.h"
 #include "nn/infer.h"
 #include "nn/init.h"
 #include "tensor/kernels.h"
@@ -23,49 +24,28 @@ tensor::Matrix& SparseConvLayer::Infer(const tensor::Matrix& x,
   return nn::InferLinear(linear_, *prop, ws);
 }
 
-GatLayer::GatLayer(AttentionEdges edges, size_t num_nodes, size_t in_features,
-                   size_t out_features, Rng* rng, float leaky_slope)
-    : edges_(std::move(edges)),
-      num_nodes_(num_nodes),
+GatLayer::GatLayer(std::shared_ptr<const tensor::PairIndex> pairs,
+                   size_t in_features, size_t out_features, Rng* rng,
+                   float leaky_slope)
+    : pairs_(std::move(pairs)),
       transform_(in_features, out_features, rng, /*use_bias=*/false),
       attn_src_(autograd::Parameter(nn::XavierUniform(out_features, 1, rng))),
       attn_dst_(autograd::Parameter(nn::XavierUniform(out_features, 1, rng))),
-      leaky_slope_(leaky_slope) {}
+      leaky_slope_(leaky_slope) {
+  AHNTP_CHECK_EQ(pairs_->num_segments, pairs_->num_sources);
+}
 
 Variable GatLayer::Forward(const Variable& x) const {
   Variable h = transform_.Forward(x);  // n x out
-  Variable h_src = autograd::GatherRows(h, edges_.src);
-  Variable h_dst = autograd::GatherRows(h, edges_.dst);
-  Variable score = autograd::LeakyRelu(
-      autograd::Add(autograd::MatMul(h_src, attn_src_),
-                    autograd::MatMul(h_dst, attn_dst_)),
-      leaky_slope_);
-  Variable alpha = autograd::SegmentSoftmax(score, edges_.dst, num_nodes_);
-  Variable weighted = autograd::MulColBroadcast(h_src, alpha);
-  return autograd::SegmentSum(weighted, edges_.dst, num_nodes_);
+  return autograd::PairAttention(h, attn_dst_, h, attn_src_, pairs_,
+                                 leaky_slope_);
 }
 
 tensor::Matrix& GatLayer::Infer(const tensor::Matrix& x,
                                 tensor::Workspace* ws) const {
-  using tensor::Matrix;
-  const size_t e = edges_.src.size();
-  Matrix& h = nn::InferLinear(transform_, x, ws);
-  Matrix* h_src = ws->Acquire(e, h.cols());
-  tensor::GatherRowsInto(h_src, h, edges_.src);
-  Matrix* h_dst = ws->Acquire(e, h.cols());
-  tensor::GatherRowsInto(h_dst, h, edges_.dst);
-  Matrix* score = ws->Acquire(e, 1);
-  tensor::MatMulInto(score, *h_src, attn_src_.value());
-  Matrix* score_dst = ws->Acquire(e, 1);
-  tensor::MatMulInto(score_dst, *h_dst, attn_dst_.value());
-  tensor::AddInto(score, *score, *score_dst);
-  tensor::LeakyReluInto(score, *score, leaky_slope_);
-  Matrix* alpha = ws->Acquire(e, 1);
-  tensor::SegmentSoftmaxInto(alpha, *score, edges_.dst, num_nodes_);
-  tensor::MulColBroadcastInto(h_src, *h_src, *alpha);
-  Matrix* out = ws->Acquire(num_nodes_, h.cols());
-  tensor::SegmentSumInto(out, *h_src, edges_.dst, num_nodes_);
-  return *out;
+  tensor::Matrix& h = nn::InferLinear(transform_, x, ws);
+  return nn::InferPairAttention(h, attn_dst_.value(), h, attn_src_.value(),
+                                *pairs_, leaky_slope_, ws);
 }
 
 std::vector<Variable> GatLayer::Parameters() const {

@@ -1,6 +1,7 @@
 #ifndef AHNTP_MODELS_CONV_LAYERS_H_
 #define AHNTP_MODELS_CONV_LAYERS_H_
 
+#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -33,12 +34,15 @@ class SparseConvLayer : public nn::Module {
   nn::Linear linear_;
 };
 
-/// Single-head graph attention layer (Velickovic et al.), built on segment
-/// ops over an edge-pair list: score(i <- j) = LeakyReLU(a_d^T Wh_i +
-/// a_s^T Wh_j), softmax over j per destination i, output = sum_j alpha Wh_j.
+/// Single-head graph attention layer (Velickovic et al.), built on the pair
+/// attention op over an edge-pair list: score(i <- j) = LeakyReLU(a_d^T Wh_i
+/// + a_s^T Wh_j), softmax over j per destination i, output = sum_j alpha
+/// Wh_j.
 class GatLayer : public nn::Module {
  public:
-  GatLayer(AttentionEdges edges, size_t num_nodes, size_t in_features,
+  /// `pairs` (BuildAttentionPairs()) has segment = destination, source =
+  /// neighbour, both over the same node set; layers of one model share it.
+  GatLayer(std::shared_ptr<const tensor::PairIndex> pairs, size_t in_features,
            size_t out_features, Rng* rng, float leaky_slope = 0.2f);
 
   autograd::Variable Forward(const autograd::Variable& x) const;
@@ -50,8 +54,7 @@ class GatLayer : public nn::Module {
   std::vector<nn::Module*> Submodules() override { return {&transform_}; }
 
  private:
-  AttentionEdges edges_;
-  size_t num_nodes_;
+  std::shared_ptr<const tensor::PairIndex> pairs_;
   nn::Linear transform_;
   autograd::Variable attn_src_;  // out x 1
   autograd::Variable attn_dst_;  // out x 1

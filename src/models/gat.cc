@@ -13,11 +13,11 @@ Gat::Gat(const ModelInputs& inputs)
   AHNTP_CHECK(inputs.features != nullptr && inputs.graph != nullptr &&
               inputs.rng != nullptr);
   AHNTP_CHECK(!inputs.hidden_dims.empty());
-  AttentionEdges edges = BuildAttentionEdges(*inputs.graph);
+  auto pairs = BuildAttentionPairs(*inputs.graph);
   size_t in_dim = inputs.features->cols();
   for (size_t out : inputs.hidden_dims) {
-    layers_.push_back(std::make_unique<GatLayer>(
-        edges, inputs.graph->num_nodes(), in_dim, out, inputs.rng));
+    layers_.push_back(
+        std::make_unique<GatLayer>(pairs, in_dim, out, inputs.rng));
     in_dim = out;
   }
 }

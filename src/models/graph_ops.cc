@@ -53,18 +53,21 @@ CsrMatrix DirectedNormalizedAdjacency(const graph::Digraph& graph,
       .RowNormalized();
 }
 
-AttentionEdges BuildAttentionEdges(const graph::Digraph& graph) {
-  AttentionEdges edges;
+std::shared_ptr<const tensor::PairIndex> BuildAttentionPairs(
+    const graph::Digraph& graph) {
   const size_t n = graph.num_nodes();
+  std::vector<int> dst;
+  std::vector<int> src;
   for (size_t u = 0; u < n; ++u) {
-    edges.dst.push_back(static_cast<int>(u));  // self-loop
-    edges.src.push_back(static_cast<int>(u));
+    dst.push_back(static_cast<int>(u));  // self-loop
+    src.push_back(static_cast<int>(u));
     for (int v : graph.UndirectedNeighbors(static_cast<int>(u))) {
-      edges.dst.push_back(static_cast<int>(u));
-      edges.src.push_back(v);
+      dst.push_back(static_cast<int>(u));
+      src.push_back(v);
     }
   }
-  return edges;
+  return std::make_shared<const tensor::PairIndex>(
+      tensor::PairIndex::Build(std::move(dst), std::move(src), n, n));
 }
 
 }  // namespace ahntp::models

@@ -1,10 +1,12 @@
 #ifndef AHNTP_MODELS_GRAPH_OPS_H_
 #define AHNTP_MODELS_GRAPH_OPS_H_
 
+#include <memory>
 #include <vector>
 
 #include "graph/digraph.h"
 #include "tensor/csr.h"
+#include "tensor/kernels.h"
 
 namespace ahntp::models {
 
@@ -17,13 +19,11 @@ tensor::CsrMatrix SymmetricNormalizedAdjacency(const graph::Digraph& graph);
 tensor::CsrMatrix DirectedNormalizedAdjacency(const graph::Digraph& graph,
                                               bool incoming);
 
-/// Edge pair list for attention layers: undirected neighbourhood plus
-/// self-loops, flattened as (dst, src) pairs grouped (segmented) by dst.
-struct AttentionEdges {
-  std::vector<int> dst;  // segment ids (the aggregating node)
-  std::vector<int> src;  // the neighbour providing the message
-};
-AttentionEdges BuildAttentionEdges(const graph::Digraph& graph);
+/// Pair list for graph attention layers: the undirected neighbourhood plus
+/// a self-loop of every node, as (segment = destination, source =
+/// neighbour) pairs in destination order.
+std::shared_ptr<const tensor::PairIndex> BuildAttentionPairs(
+    const graph::Digraph& graph);
 
 }  // namespace ahntp::models
 

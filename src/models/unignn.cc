@@ -45,7 +45,10 @@ UniOperators BuildUniOperators(const hypergraph::Hypergraph& hg) {
   }
   ops.vertex_mean = tensor::CsrMatrix::FromTriplets(
       hg.num_vertices(), hg.num_edges(), std::move(triplets));
-  ops.pairs = hg.Pairs();
+  hypergraph::Hypergraph::IncidencePairs pairs = hg.Pairs();
+  ops.pairs = std::make_shared<const tensor::PairIndex>(
+      tensor::PairIndex::Build(std::move(pairs.vertex), std::move(pairs.edge),
+                               hg.num_vertices(), hg.num_edges()));
   return ops;
 }
 
@@ -135,17 +138,8 @@ Variable UniGat::EncodeUsers() {
   for (size_t i = 0; i < transforms_.size(); ++i) {
     Variable hx = transforms_[i]->Forward(h);  // n x d
     Variable he = autograd::SpMMConst(ops_.edge_mean, hx);  // m x d
-    Variable hx_pairs = autograd::GatherRows(hx, ops_.pairs.vertex);
-    Variable he_pairs = autograd::GatherRows(he, ops_.pairs.edge);
-    Variable score = autograd::LeakyRelu(
-        autograd::Add(autograd::MatMul(hx_pairs, attn_vertex_[i]),
-                      autograd::MatMul(he_pairs, attn_edge_[i])),
-        leaky_slope_);
-    Variable alpha =
-        autograd::SegmentSoftmax(score, ops_.pairs.vertex, ops_.num_vertices);
-    Variable weighted = autograd::MulColBroadcast(he_pairs, alpha);
-    h = autograd::Relu(
-        autograd::SegmentSum(weighted, ops_.pairs.vertex, ops_.num_vertices));
+    h = autograd::Relu(autograd::PairAttention(
+        hx, attn_vertex_[i], he, attn_edge_[i], ops_.pairs, leaky_slope_));
     if (i + 1 < transforms_.size()) {
       h = autograd::Dropout(h, dropout_, rng_, training_);
     }
@@ -157,28 +151,13 @@ tensor::Matrix UniGat::InferUsers(tensor::Workspace* ws) {
   using tensor::Matrix;
   const Matrix* h = &features_.value();
   Matrix* out = nullptr;
-  const size_t p = ops_.pairs.vertex.size();
   for (size_t i = 0; i < transforms_.size(); ++i) {
     Matrix& hx = nn::InferLinear(*transforms_[i], *h, ws);
     Matrix* he = ws->Acquire(ops_.edge_mean.rows(), hx.cols());
     tensor::SpMMInto(he, ops_.edge_mean, hx);
-    Matrix* hx_pairs = ws->Acquire(p, hx.cols());
-    tensor::GatherRowsInto(hx_pairs, hx, ops_.pairs.vertex);
-    Matrix* he_pairs = ws->Acquire(p, he->cols());
-    tensor::GatherRowsInto(he_pairs, *he, ops_.pairs.edge);
-    Matrix* score = ws->Acquire(p, 1);
-    tensor::MatMulInto(score, *hx_pairs, attn_vertex_[i].value());
-    Matrix* score_edge = ws->Acquire(p, 1);
-    tensor::MatMulInto(score_edge, *he_pairs, attn_edge_[i].value());
-    tensor::AddInto(score, *score, *score_edge);
-    tensor::LeakyReluInto(score, *score, leaky_slope_);
-    Matrix* alpha = ws->Acquire(p, 1);
-    tensor::SegmentSoftmaxInto(alpha, *score, ops_.pairs.vertex,
-                               ops_.num_vertices);
-    tensor::MulColBroadcastInto(he_pairs, *he_pairs, *alpha);
-    Matrix* agg = ws->Acquire(ops_.num_vertices, he_pairs->cols());
-    tensor::SegmentSumInto(agg, *he_pairs, ops_.pairs.vertex,
-                           ops_.num_vertices);
+    Matrix* agg = &nn::InferPairAttention(hx, attn_vertex_[i].value(), *he,
+                                          attn_edge_[i].value(), *ops_.pairs,
+                                          leaky_slope_, ws);
     tensor::ReluInto(agg, *agg);
     out = agg;
     h = out;

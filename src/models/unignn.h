@@ -6,6 +6,7 @@
 #include "models/encoder.h"
 #include "nn/init.h"
 #include "nn/linear.h"
+#include "tensor/kernels.h"
 
 namespace ahntp::models {
 
@@ -14,7 +15,7 @@ namespace ahntp::models {
 struct UniOperators {
   tensor::CsrMatrix edge_mean;    // (m x n): D_e^{-1} H^T  — vertex -> edge
   tensor::CsrMatrix vertex_mean;  // (n x m): degree-normalized edge->vertex operator
-  hypergraph::Hypergraph::IncidencePairs pairs;
+  std::shared_ptr<const tensor::PairIndex> pairs;  // vertex <- edge
   size_t num_vertices = 0;
   size_t num_edges = 0;
 };

@@ -65,4 +65,23 @@ Matrix& InferLayerNorm(const LayerNorm& norm, const Matrix& x,
   return *out;
 }
 
+Matrix& InferPairAttention(const Matrix& segment_rows,
+                           const Matrix& beta_segment,
+                           const Matrix& source_rows,
+                           const Matrix& beta_source,
+                           const tensor::PairIndex& pairs,
+                           float negative_slope, tensor::Workspace* ws) {
+  Matrix* s_segment = ws->Acquire(pairs.num_segments, 1);
+  Matrix* s_source = ws->Acquire(pairs.num_sources, 1);
+  // The LeakyReLU runs in place over the scores: only alpha outlives it.
+  Matrix* score = ws->Acquire(pairs.size(), 1);
+  Matrix* alpha = ws->Acquire(pairs.size(), 1);
+  Matrix* out = ws->Acquire(pairs.num_segments, source_rows.cols());
+  tensor::PairAttentionInto(segment_rows, beta_segment, source_rows,
+                            beta_source, pairs, negative_slope,
+                            {s_segment, s_source, /*pre=*/score,
+                             /*act=*/score, alpha, out});
+  return *out;
+}
+
 }  // namespace ahntp::nn

@@ -4,6 +4,7 @@
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
+#include "tensor/kernels.h"
 #include "tensor/workspace.h"
 
 namespace ahntp::nn {
@@ -38,6 +39,17 @@ tensor::Matrix& InferMlp(const Mlp& mlp, const tensor::Matrix& x,
 /// y = gain ⊙ standardize(x) + bias.
 tensor::Matrix& InferLayerNorm(const LayerNorm& norm, const tensor::Matrix& x,
                                tensor::Workspace* ws);
+
+/// autograd::PairAttention's forward: per-row scores, the pair score and
+/// aggregation kernels, no pairs x d buffer. Returns the (num_segments x
+/// source_rows.cols()) aggregate.
+tensor::Matrix& InferPairAttention(const tensor::Matrix& segment_rows,
+                                   const tensor::Matrix& beta_segment,
+                                   const tensor::Matrix& source_rows,
+                                   const tensor::Matrix& beta_source,
+                                   const tensor::PairIndex& pairs,
+                                   float negative_slope,
+                                   tensor::Workspace* ws);
 
 }  // namespace ahntp::nn
 

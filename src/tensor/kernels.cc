@@ -367,4 +367,109 @@ void SegmentSoftmaxInto(Matrix* out, const Matrix& a,
   }
 }
 
+namespace {
+
+/// Counting sort of the pair ids by `key`: ptr gets num_keys + 1 offsets,
+/// order the ids, ascending within each key (the scan is in id order).
+void GroupPairs(const std::vector<int>& key, size_t num_keys,
+                std::vector<int>* ptr, std::vector<int>* order) {
+  ptr->assign(num_keys + 1, 0);
+  for (int k : key) ++(*ptr)[static_cast<size_t>(k) + 1];
+  for (size_t k = 0; k < num_keys; ++k) (*ptr)[k + 1] += (*ptr)[k];
+  order->resize(key.size());
+  std::vector<int> next(ptr->begin(), ptr->end() - 1);
+  for (size_t p = 0; p < key.size(); ++p) {
+    (*order)[static_cast<size_t>(next[static_cast<size_t>(key[p])]++)] =
+        static_cast<int>(p);
+  }
+}
+
+}  // namespace
+
+PairIndex PairIndex::Build(std::vector<int> segment, std::vector<int> source,
+                           size_t num_segments, size_t num_sources) {
+  CheckSegments(segment, segment.size(), num_segments);
+  CheckSegments(source, segment.size(), num_sources);
+  PairIndex pairs;
+  pairs.segment = std::move(segment);
+  pairs.source = std::move(source);
+  pairs.num_segments = num_segments;
+  pairs.num_sources = num_sources;
+  GroupPairs(pairs.segment, num_segments, &pairs.segment_ptr,
+             &pairs.by_segment);
+  GroupPairs(pairs.source, num_sources, &pairs.source_ptr, &pairs.by_source);
+  return pairs;
+}
+
+void PairScoreInto(Matrix* out, const Matrix& s_segment,
+                   const Matrix& s_source, const PairIndex& pairs) {
+  AHNTP_CHECK(s_segment.rows() == pairs.num_segments &&
+              s_segment.cols() == 1u);
+  AHNTP_CHECK(s_source.rows() == pairs.num_sources && s_source.cols() == 1u);
+  AHNTP_CHECK(out != &s_segment && out != &s_source)
+      << "PairScoreInto cannot alias an input";
+  out->ResetShape(pairs.size(), 1);
+  const float* a = s_segment.data();
+  const float* b = s_source.data();
+  const int* ia = pairs.segment.data();
+  const int* ib = pairs.source.data();
+  float* po = out->data();
+  const bool avx2 = simd::UseAvx2();
+  ParallelFor(0, pairs.size(), kElementwiseGrain, [=](size_t lo, size_t hi) {
+    if (avx2) {
+      simd::GatherAddF32(po + lo, a, ia + lo, b, ib + lo, hi - lo);
+    } else {
+      for (size_t p = lo; p < hi; ++p) po[p] = a[ia[p]] + b[ib[p]];
+    }
+  });
+}
+
+void PairAggregateInto(Matrix* out, const Matrix& rows, const Matrix& weight,
+                       const PairIndex& pairs) {
+  AHNTP_CHECK_EQ(rows.rows(), pairs.num_sources);
+  AHNTP_CHECK(weight.rows() == pairs.size() && weight.cols() == 1u);
+  AHNTP_CHECK(out != &rows && out != &weight)
+      << "PairAggregateInto cannot alias an input";
+  const size_t cols = rows.cols();
+  out->ResetShape(pairs.num_segments, cols);
+  const size_t avg_pairs =
+      pairs.size() / std::max<size_t>(pairs.num_segments, 1) + 1;
+  const bool avx2 = simd::UseAvx2();
+  ParallelFor(0, pairs.num_segments, GrainForCost(avg_pairs * cols),
+              [&](size_t s0, size_t s1) {
+    for (size_t s = s0; s < s1; ++s) {
+      float* dst = out->RowPtr(s);
+      std::fill(dst, dst + cols, 0.0f);
+      for (int k = pairs.segment_ptr[s]; k < pairs.segment_ptr[s + 1]; ++k) {
+        const size_t p = static_cast<size_t>(pairs.by_segment[k]);
+        const float* src =
+            rows.RowPtr(static_cast<size_t>(pairs.source[p]));
+        const float w = weight.At(p, 0);
+        if (avx2) {
+          simd::AddScaledF32(dst, src, w, cols);
+        } else {
+          // This TU is built without FMA, so the multiply and the add
+          // round separately, as the two-kernel path does.
+          for (size_t c = 0; c < cols; ++c) dst[c] += src[c] * w;
+        }
+      }
+    }
+  });
+}
+
+void PairAttentionInto(const Matrix& segment_rows, const Matrix& beta_segment,
+                       const Matrix& source_rows, const Matrix& beta_source,
+                       const PairIndex& pairs, float negative_slope,
+                       const PairAttentionBuffers& buffers) {
+  AHNTP_CHECK_EQ(segment_rows.rows(), pairs.num_segments);
+  AHNTP_CHECK_EQ(source_rows.rows(), pairs.num_sources);
+  MatMulInto(buffers.s_segment, segment_rows, beta_segment);
+  MatMulInto(buffers.s_source, source_rows, beta_source);
+  PairScoreInto(buffers.pre, *buffers.s_segment, *buffers.s_source, pairs);
+  LeakyReluInto(buffers.act, *buffers.pre, negative_slope);
+  SegmentSoftmaxInto(buffers.alpha, *buffers.act, pairs.segment,
+                     pairs.num_segments);
+  PairAggregateInto(buffers.out, source_rows, *buffers.alpha, pairs);
+}
+
 }  // namespace ahntp::tensor

@@ -167,6 +167,36 @@ void SubMulF32(float* o, const float* a, float sub, float mul, size_t n) {
   for (; i < n; ++i) o[i] = (a[i] - sub) * mul;
 }
 
+void GatherAddF32(float* o, const float* a, const int* ia, const float* b,
+                  const int* ib, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ia + i));
+    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ib + i));
+    _mm256_storeu_ps(o + i, _mm256_add_ps(_mm256_i32gather_ps(a, va, 4),
+                                          _mm256_i32gather_ps(b, vb, 4)));
+  }
+  for (; i < n; ++i) o[i] = a[ia[i]] + b[ib[i]];
+}
+
+void AddScaledF32(float* o, const float* x, float s, size_t n) {
+  // This TU is built with -mfma and GCC contracts a * b + c across
+  // statements; the empty asm makes each product an opaque value, so the
+  // add cannot be fused into it.
+  const __m256 vs = _mm256_set1_ps(s);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(x + i), vs);
+    __asm__("" : "+x"(prod));
+    _mm256_storeu_ps(o + i, _mm256_add_ps(_mm256_loadu_ps(o + i), prod));
+  }
+  for (; i < n; ++i) {
+    float prod = x[i] * s;
+    __asm__("" : "+x"(prod));
+    o[i] += prod;
+  }
+}
+
 void AxpyF32(float* o, const float* x, float a, size_t n) {
   AxpyBody(o, x, a, n);
 }
@@ -310,6 +340,11 @@ void ClampF32(float*, const float*, float, float, size_t) { NoAvx2(); }
 void AbsF32(float*, const float*, size_t) { NoAvx2(); }
 void SqrtMaxF32(float*, const float*, float, size_t) { NoAvx2(); }
 void SubMulF32(float*, const float*, float, float, size_t) { NoAvx2(); }
+void GatherAddF32(float*, const float*, const int*, const float*, const int*,
+                  size_t) {
+  NoAvx2();
+}
+void AddScaledF32(float*, const float*, float, size_t) { NoAvx2(); }
 void AxpyF32(float*, const float*, float, size_t) { NoAvx2(); }
 double DotF64(const float*, const float*, size_t) { NoAvx2(); }
 double SumF64(const float*, size_t) { NoAvx2(); }

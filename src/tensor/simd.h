@@ -50,6 +50,12 @@ void SqrtMaxF32(float* o, const float* a, float eps, size_t n);
 /// out = (a - sub) * mul, two separately rounded passes like the scalar
 /// RowStandardize normalization loop.
 void SubMulF32(float* o, const float* a, float sub, float mul, size_t n);
+/// o[i] = a[ia[i]] + b[ib[i]] (the pair score kernel's gather-add).
+void GatherAddF32(float* o, const float* a, const int* ia, const float* b,
+                  const int* ib, size_t n);
+/// o[i] = o[i] + x[i] * s as a rounded multiply then a rounded add — never
+/// fused, so it matches ScaleF32 followed by AddF32 bit for bit.
+void AddScaledF32(float* o, const float* x, float s, size_t n);
 
 // --- fma tier -------------------------------------------------------------
 

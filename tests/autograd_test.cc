@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cpu.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/adaptive_conv.h"
 #include "hypergraph/hypergraph.h"
@@ -11,7 +13,9 @@
 namespace ahntp::autograd {
 namespace {
 
+using ahntp::testing::BitEqual;
 using ahntp::testing::ExpectGradientsClose;
+using ahntp::testing::MaxRelDiff;
 using tensor::CsrMatrix;
 using tensor::Matrix;
 
@@ -404,6 +408,122 @@ TEST(GradCheck, AdaptiveHypergraphConvAttention) {
       // The path crosses LeakyReLU and ReLU kinks; a smaller FD step keeps
       // the two-sided evaluations on one side of each kink.
       /*epsilon=*/1e-3f);
+}
+
+// Hypergraph-shaped pairs (edge-major, segment = vertex, source = edge) over
+// 6 vertices and 5 edges: edge 1 has a single vertex and vertex 5 has no
+// pairs at all.
+std::shared_ptr<const tensor::PairIndex> HyperedgePairs() {
+  return std::make_shared<const tensor::PairIndex>(tensor::PairIndex::Build(
+      {0, 1, 2, 3, 1, 3, 4, 0, 4, 2, 4, 1},
+      {0, 0, 0, 1, 2, 2, 2, 3, 3, 4, 4, 4}, 6, 5));
+}
+
+// GAT-shaped pairs (segment = destination, source = neighbour, self-loops)
+// over one 5-node set.
+std::shared_ptr<const tensor::PairIndex> GraphPairs() {
+  return std::make_shared<const tensor::PairIndex>(tensor::PairIndex::Build(
+      {0, 0, 0, 1, 1, 2, 2, 2, 3, 3, 4},
+      {0, 1, 3, 1, 2, 2, 0, 4, 3, 1, 4}, 5, 5));
+}
+
+TEST(GradCheck, PairAttention) {
+  Rng rng(58);
+  auto pairs = HyperedgePairs();
+  Matrix readout = Matrix::Randn(6, 3, &rng);
+  ExpectGradientsClose(
+      [pairs, readout](const std::vector<Variable>& p) {
+        return ReduceSum(MulConst(
+            PairAttention(p[0], p[1], p[2], p[3], pairs, 0.2f), readout));
+      },
+      {RandParam(6, 3, &rng, 0.5f), RandParam(3, 1, &rng),
+       RandParam(5, 3, &rng, 0.5f), RandParam(3, 1, &rng)},
+      /*epsilon=*/1e-3f);
+}
+
+// PairAttention against the gather path it replaced, under both kernel
+// ISAs and at 1, 2 and 8 threads: forward and alpha bitwise, the row
+// gradients bitwise (each row still sums its pairs in ascending order), the
+// beta gradients within `beta_tol` of the gradient's scale (they now sum
+// per row first, then over rows).
+void ExpectMatchesGatherPath(
+    const std::shared_ptr<const tensor::PairIndex>& pairs, bool shared_rows,
+    float beta_tol = 1e-5f) {
+  Rng rng(59);
+  const size_t d = 9;  // one full 8-float lane plus a remainder
+  Variable seg_rows = RandParam(pairs->num_segments, d, &rng);
+  Variable src_rows =
+      shared_rows ? seg_rows : RandParam(pairs->num_sources, d, &rng);
+  // A small beta_seg: the segment term is shared by all of a segment's
+  // pairs, so softmax cancels it except across the LeakyReLU kink, and
+  // the source term must put each segment's scores on both sides of it.
+  Variable beta_seg = RandParam(d, 1, &rng, 0.05f);
+  Variable beta_src = RandParam(d, 1, &rng);
+  Matrix readout = Matrix::Randn(pairs->num_segments, d, &rng);
+  std::vector<Variable> params = {seg_rows, beta_seg, beta_src};
+  if (!shared_rows) params.push_back(src_rows);
+  auto run = [&](bool fused, Matrix* alpha) {
+    for (Variable& v : params) v.ZeroGrad();
+    Variable out =
+        fused ? PairAttention(seg_rows, beta_seg, src_rows, beta_src, pairs,
+                              0.2f, alpha)
+              : ahntp::testing::ReferencePairAttention(
+                    seg_rows, beta_seg, src_rows, beta_src, *pairs, 0.2f,
+                    alpha);
+    ReduceSum(MulConst(out, readout)).Backward();
+    std::vector<Matrix> result = {out.value()};
+    for (Variable& v : params) result.push_back(v.grad());
+    return result;
+  };
+  const KernelIsa saved_isa = ActiveKernelIsa();
+  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
+    if (!KernelIsaSupported(isa)) continue;
+    SetKernelIsa(isa);
+    for (int threads : {1, 2, 8}) {
+      SetNumThreads(threads);
+      Matrix alpha_ref, alpha;
+      std::vector<Matrix> want = run(false, &alpha_ref);
+      std::vector<Matrix> got = run(true, &alpha);
+      const std::string where = std::string(KernelIsaName(isa)) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_TRUE(BitEqual(got[0], want[0])) << "forward, " << where;
+      EXPECT_TRUE(BitEqual(alpha, alpha_ref)) << "alpha, " << where;
+      EXPECT_TRUE(BitEqual(got[1], want[1])) << "segment rows grad, " << where;
+      if (!shared_rows) {
+        EXPECT_TRUE(BitEqual(got[4], want[4])) << "source rows grad, " << where;
+      }
+      EXPECT_LE(MaxRelDiff(got[2], want[2]), beta_tol)
+          << "beta_seg, " << where;
+      EXPECT_LE(MaxRelDiff(got[3], want[3]), beta_tol)
+          << "beta_src, " << where;
+    }
+  }
+  SetKernelIsa(saved_isa);
+  SetNumThreads(0);
+}
+
+TEST(PairAttentionTest, HyperedgePairsMatchGatherPath) {
+  ExpectMatchesGatherPath(HyperedgePairs(), /*shared_rows=*/false);
+}
+
+TEST(PairAttentionTest, GraphPairsMatchGatherPath) {
+  ExpectMatchesGatherPath(GraphPairs(), /*shared_rows=*/true);
+}
+
+// 40k pairs in random order: every backward loop splits into several
+// parallel chunks. The beta gradients are 40k-term float sums taken in two
+// orders, and the softmax cancels most of beta_seg's, so they get 1e-4.
+TEST(PairAttentionTest, LargeRandomPairsMatchGatherPath) {
+  Rng rng(60);
+  std::vector<int> segment(40000), source(40000);
+  for (size_t p = 0; p < segment.size(); ++p) {
+    segment[p] = static_cast<int>(rng.NextBounded(3000));
+    source[p] = static_cast<int>(rng.NextBounded(2000));
+  }
+  ExpectMatchesGatherPath(
+      std::make_shared<const tensor::PairIndex>(tensor::PairIndex::Build(
+          std::move(segment), std::move(source), 3000, 2000)),
+      /*shared_rows=*/false, /*beta_tol=*/1e-4f);
 }
 
 // Supervised contrastive loss (Eq. 20) away from the default t=0.3, in

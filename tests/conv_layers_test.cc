@@ -1,6 +1,7 @@
 #include "models/conv_layers.h"
 
 #include <cmath>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,9 @@ namespace ahntp::models {
 namespace {
 
 using autograd::Variable;
+using ahntp::testing::BitEqual;
+using ahntp::testing::MaxRelDiff;
+using ahntp::testing::ReferencePairAttention;
 using tensor::Matrix;
 
 graph::Digraph MakeGraph(size_t n, std::vector<graph::Edge> edges) {
@@ -52,8 +56,7 @@ TEST(SparseConvLayerTest, GradientCheck) {
 TEST(GatLayerTest, AttentionWeightsSumToOnePerDestination) {
   Rng rng(3);
   graph::Digraph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}, {3, 0}});
-  AttentionEdges edges = BuildAttentionEdges(g);
-  GatLayer layer(edges, 4, 3, 2, &rng);
+  GatLayer layer(BuildAttentionPairs(g), 3, 2, &rng);
   Matrix x = Matrix::Randn(4, 3, &rng);
   Variable y = layer.Forward(autograd::Constant(x));
   EXPECT_EQ(y.rows(), 4u);
@@ -67,8 +70,7 @@ TEST(GatLayerTest, AttentionWeightsSumToOnePerDestination) {
 TEST(GatLayerTest, IsolatedNodeSeesOnlyItself) {
   Rng rng(4);
   graph::Digraph g = MakeGraph(3, {{0, 1}});  // node 2 isolated
-  AttentionEdges edges = BuildAttentionEdges(g);
-  GatLayer layer(edges, 3, 2, 2, &rng);
+  GatLayer layer(BuildAttentionPairs(g), 2, 2, &rng);
   Matrix x = Matrix::FromRows({{1, 0}, {0, 1}, {5, -3}});
   Variable y = layer.Forward(autograd::Constant(x));
   // Node 2's only incidence is its self-loop with attention 1, so its
@@ -82,8 +84,7 @@ TEST(GatLayerTest, IsolatedNodeSeesOnlyItself) {
 TEST(GatLayerTest, GradientCheck) {
   Rng rng(5);
   graph::Digraph g = MakeGraph(4, {{0, 1}, {1, 2}, {3, 2}});
-  AttentionEdges edges = BuildAttentionEdges(g);
-  GatLayer layer(edges, 4, 2, 2, &rng);
+  GatLayer layer(BuildAttentionPairs(g), 2, 2, &rng);
   Matrix x = Matrix::Randn(4, 2, &rng);
   ahntp::testing::ExpectGradientsClose(
       [&layer, &x](const std::vector<Variable>&) {
@@ -96,7 +97,7 @@ TEST(GatLayerTest, GradientCheck) {
 TEST(GatLayerTest, ParameterCount) {
   Rng rng(6);
   graph::Digraph g = MakeGraph(2, {{0, 1}});
-  GatLayer layer(BuildAttentionEdges(g), 2, 5, 3, &rng);
+  GatLayer layer(BuildAttentionPairs(g), 5, 3, &rng);
   // W (5x3, no bias) + two attention vectors (3x1).
   EXPECT_EQ(layer.NumParameters(), 5u * 3u + 3u + 3u);
 }
@@ -120,15 +121,15 @@ TEST(AdaptiveHypergraphConvTest, ResetStructureRemapsEdgeWeights) {
   // Keeps old edge 2 (as new 0) and old edge 0 (as new 2), adds {2, 4},
   // drops old edges 1 and 3.
   Hypergraph new_hg = Hypergraph::FromEdges(5, {{3, 4}, {2, 4}, {0, 1}}).value();
-  conv.ResetStructure(new_hg, {2, -1, 0});
+  conv.ResetStructure(core::HypergraphIncidence::Build(new_hg), {2, -1, 0});
 
   const Matrix& weights = conv.Parameters().back().value();
   ASSERT_EQ(weights.rows(), 3u);
   EXPECT_EQ(weights.At(0, 0), 4.0f);
   EXPECT_EQ(weights.At(1, 0), 1.0f);
   EXPECT_EQ(weights.At(2, 0), 2.0f);
-  EXPECT_EQ(conv.pairs().vertex, new_hg.Pairs().vertex);
-  EXPECT_EQ(conv.pairs().edge, new_hg.Pairs().edge);
+  EXPECT_EQ(conv.pairs().segment, new_hg.Pairs().vertex);
+  EXPECT_EQ(conv.pairs().source, new_hg.Pairs().edge);
 
   // The reset layer computes exactly what a layer built on the new
   // hypergraph with those weights computes (head weights are drawn from the
@@ -146,6 +147,89 @@ TEST(AdaptiveHypergraphConvTest, ResetStructureRemapsEdgeWeights) {
       EXPECT_EQ(got.At(i, j), want.At(i, j)) << "row " << i << " col " << j;
     }
   }
+}
+
+/// Runs `build` forward and backward through a fixed random readout and
+/// returns {output, grad of each of `params`}.
+std::vector<Matrix> ForwardAndGrads(const std::function<Variable()>& build,
+                                    std::vector<Variable> params,
+                                    const Matrix& readout) {
+  for (Variable& v : params) v.ZeroGrad();
+  Variable out = build();
+  autograd::ReduceSum(autograd::MulConst(out, readout)).Backward();
+  std::vector<Matrix> result = {out.value()};
+  for (Variable& v : params) result.push_back(v.grad());
+  return result;
+}
+
+// The layer forwards against the gather path they used before
+// autograd::PairAttention, rebuilt from each layer's own parameters: output
+// and the x / W / w_e gradients bitwise, the beta gradients (summed per row
+// first now) within 1e-5 of their scale.
+TEST(AdaptiveHypergraphConvTest, MatchesGatherPathBitwise) {
+  hypergraph::Hypergraph hg =
+      hypergraph::Hypergraph::FromEdges(
+          6, {{0, 1, 2}, {3}, {1, 3, 4}, {0, 4}, {2, 4, 1}})
+          .value();
+  Rng rng(13);
+  core::AdaptiveHypergraphConv conv(hg, 5, 9, &rng);
+  Variable x = autograd::Parameter(Matrix::Randn(6, 5, &rng));
+  Matrix readout = Matrix::Randn(6, 9, &rng);
+  std::vector<Variable> p = conv.Parameters();  // W, beta_v, beta_e, w_e
+  ASSERT_EQ(p.size(), 4u);
+  // beta_v . Wx_i is shared by all of vertex i's pairs, so softmax cancels
+  // it except across the LeakyReLU kink; a small beta_v lets the edge term
+  // put each vertex's scores on both sides of the kink, so its gradient is
+  // a real sum rather than cancellation noise.
+  p[1].mutable_value() *= 0.05f;
+  std::vector<Variable> params = {x, p[0], p[3], p[1], p[2]};
+  auto incidence = core::HypergraphIncidence::Build(hg);
+  Matrix alpha;
+  std::vector<Matrix> want = ForwardAndGrads(
+      [&] {
+        Variable h_e = autograd::MulColBroadcast(
+            autograd::SpMMConst(incidence->edge_mean, x), p[3]);
+        return autograd::Relu(ReferencePairAttention(
+            autograd::MatMul(x, p[0]), p[1], autograd::MatMul(h_e, p[0]),
+            p[2], incidence->pairs, 0.2f, &alpha));
+      },
+      params, readout);
+  std::vector<Matrix> got =
+      ForwardAndGrads([&] { return conv.Forward(x); }, params, readout);
+  EXPECT_TRUE(BitEqual(got[0], want[0])) << "forward";
+  EXPECT_TRUE(BitEqual(conv.last_attention(), alpha)) << "attention";
+  EXPECT_TRUE(BitEqual(got[1], want[1])) << "x grad";
+  EXPECT_TRUE(BitEqual(got[2], want[2])) << "W grad";
+  EXPECT_TRUE(BitEqual(got[3], want[3])) << "w_e grad";
+  EXPECT_LE(MaxRelDiff(got[4], want[4]), 1e-5f) << "beta_v grad";
+  EXPECT_LE(MaxRelDiff(got[5], want[5]), 1e-5f) << "beta_e grad";
+}
+
+TEST(GatLayerTest, MatchesGatherPathBitwise) {
+  graph::Digraph g = MakeGraph(5, {{0, 1}, {1, 2}, {3, 2}, {4, 0}, {2, 4}});
+  Rng rng(14);
+  auto pairs = BuildAttentionPairs(g);
+  GatLayer layer(pairs, 4, 9, &rng);
+  Variable x = autograd::Parameter(Matrix::Randn(5, 4, &rng));
+  Matrix readout = Matrix::Randn(5, 9, &rng);
+  std::vector<Variable> p = layer.Parameters();  // W, a_src, a_dst
+  ASSERT_EQ(p.size(), 3u);
+  p[2].mutable_value() *= 0.05f;  // see the beta_v note above
+  std::vector<Variable> params = {x, p[0], p[1], p[2]};
+  Matrix alpha;
+  std::vector<Matrix> want = ForwardAndGrads(
+      [&] {
+        Variable h = autograd::MatMul(x, p[0]);
+        return ReferencePairAttention(h, p[2], h, p[1], *pairs, 0.2f, &alpha);
+      },
+      params, readout);
+  std::vector<Matrix> got =
+      ForwardAndGrads([&] { return layer.Forward(x); }, params, readout);
+  EXPECT_TRUE(BitEqual(got[0], want[0])) << "forward";
+  EXPECT_TRUE(BitEqual(got[1], want[1])) << "x grad";
+  EXPECT_TRUE(BitEqual(got[2], want[2])) << "W grad";
+  EXPECT_LE(MaxRelDiff(got[3], want[3]), 1e-5f) << "a_src grad";
+  EXPECT_LE(MaxRelDiff(got[4], want[4]), 1e-5f) << "a_dst grad";
 }
 
 }  // namespace

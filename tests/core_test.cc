@@ -249,8 +249,8 @@ TEST(AdaptiveConvTest, MultiHeadSplitsDimensions) {
   // Head-averaged attention still sums to 1 per vertex segment.
   const Matrix& attention = conv.last_attention();
   std::vector<double> per_vertex(6, 0.0);
-  for (size_t p = 0; p < conv.pairs().vertex.size(); ++p) {
-    per_vertex[static_cast<size_t>(conv.pairs().vertex[p])] +=
+  for (size_t p = 0; p < conv.pairs().size(); ++p) {
+    per_vertex[static_cast<size_t>(conv.pairs().segment[p])] +=
         attention.At(p, 0);
   }
   for (size_t v = 0; v < 6; ++v) {

@@ -231,9 +231,11 @@ TEST(DynamicAnalyticsTest, WarmInfluenceMatchesColdSolve) {
       mpr.alpha = options.model.mpr_alpha;
       mpr.motif = options.model.motif;
       mpr.pagerank = options.model.pagerank;
+      graph::PageRankStats cold_stats;
       std::vector<double> cold =
           graph::MotifPageRankFrom(pipeline.store().View().Adjacency(),
-                                   pipeline.motif_counts()->ToCsr(), mpr)
+                                   pipeline.motif_counts()->ToCsr(), mpr,
+                                   /*warm_start=*/nullptr, &cold_stats)
               .scores;
       ASSERT_EQ(pipeline.influence().size(), cold.size());
       // PowerIterate runs its SpMV in float (the score vector is quantized
@@ -245,11 +247,23 @@ TEST(DynamicAnalyticsTest, WarmInfluenceMatchesColdSolve) {
         double bound = 1e-9 + 1e-6 * std::abs(cold[i]);
         EXPECT_NEAR(pipeline.influence()[i], cold[i], bound) << "node " << i;
       }
+      // Per delta, on both graphs, warm <= the construction-time cold count
+      // (pagerank_cold_iterations, the solve on the initial graph). At 1,026
+      // users warm <= this cold solve of the current graph holds per delta
+      // as well. On the 60-user fixture it does not: both solves stop at a
+      // 1e-9 tolerance just below the float SpMV's noise floor, their last
+      // few iterations wander at ~1e-8, and the warm start's head start (a
+      // first step of ~2e-2 against ~0.5) is worth about as many iterations
+      // as that wander, so two of its six deltas take 1-3 more warm
+      // iterations than cold. There the current graph's count is held to the
+      // run total below.
       EXPECT_GT(outcome->pagerank_iterations, 0);
       EXPECT_LE(outcome->pagerank_iterations,
                 outcome->pagerank_cold_iterations);
-      saved_total += outcome->pagerank_cold_iterations -
-                     outcome->pagerank_iterations;
+      if (scale != 0.0) {
+        EXPECT_LE(outcome->pagerank_iterations, cold_stats.iterations);
+      }
+      saved_total += cold_stats.iterations - outcome->pagerank_iterations;
     }
     // Warm starts must actually save iterations over the run (the
     // telemetry the bench reports); equality everywhere would mean the warm

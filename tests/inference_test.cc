@@ -19,6 +19,7 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
+#include "core/ahntp_model.h"
 #include "core/model_zoo.h"
 #include "data/features.h"
 #include "data/generator.h"
@@ -280,6 +281,54 @@ TEST(InferencePlanTest, ScoringLoopIsAllocationFreeOnceWarm) {
     (void)predictor->PredictProbabilities(pairs);
   }
   EXPECT_EQ(plan->workspace().allocations(), warmed);
+}
+
+// The AHNTP encode builds no pairs x d buffer. Its workspace on CiaoLike
+// 0.25 is bounded by the fused path's own buffers, counted one by one below
+// (each Acquire of one encode is a slot of exactly its shape), plus half of
+// the smallest pairs x d buffer the gather path used to hold (the last
+// conv's W h_e rows of the smaller branch): one such buffer, or any
+// other pair-sized row copy, breaks the bound.
+TEST(InferencePlanTest, AhntpEncodeHoldsNoPairSizedRowCopies) {
+  data::SocialDataset dataset =
+      data::SocialNetworkGenerator(data::GeneratorConfig::CiaoLike(0.25))
+          .Generate();
+  data::TrustSplit split = data::MakeSplit(dataset);
+  graph::Digraph graph = dataset.GraphFromEdges(split.train_positive).value();
+  tensor::Matrix features = data::BuildFeatureMatrix(dataset);
+  Rng rng(5);
+  models::ModelInputs inputs;
+  inputs.features = &features;
+  inputs.graph = &graph;
+  inputs.dataset = &dataset;
+  inputs.rng = &rng;
+  core::AhntpConfig config;
+  config.hidden_dims = {64, 32, 16};
+  core::AhntpModel model(inputs, config);
+  tensor::Workspace ws;
+  model.InferUsers(&ws);
+
+  const std::vector<size_t>& dims = config.hidden_dims;
+  const size_t n = dataset.num_users;
+  size_t floats = n * 2 * dims.back();  // the two branches concatenated
+  size_t smallest_pair_buffer = std::numeric_limits<size_t>::max();
+  for (const hypergraph::Hypergraph* hg :
+       {&model.node_hypergraph(), &model.structure_hypergraph()}) {
+    const size_t m = hg->num_edges();
+    const size_t p = hg->TotalIncidences();
+    floats += n * dims[0];  // feature MLP
+    size_t in = dims[0];
+    for (size_t d : dims) {
+      // h_e, W h_e, W x, s_v, s_e, score, alpha, aggregate.
+      floats += m * in + m * d + n * d + n + m + p + p + n * d;
+      in = d;
+    }
+    smallest_pair_buffer = std::min(smallest_pair_buffer, p * dims.back());
+  }
+  const size_t bound = sizeof(float) * (floats + smallest_pair_buffer / 2);
+  EXPECT_LE(ws.bytes(), bound)
+      << "fused buffers " << sizeof(float) * floats << " B, smallest pairs x d "
+      << sizeof(float) * smallest_pair_buffer << " B";
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -22,6 +23,8 @@
 #include "common/cpu.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/adaptive_conv.h"
+#include "hypergraph/hypergraph.h"
 #include "tensor/csr.h"
 #include "tensor/kernels.h"
 #include "tensor/matrix.h"
@@ -416,6 +419,148 @@ TEST_F(KernelParityTest, ThreadCountInvariance) {
 }
 
 // ---------------------------------------------------------------------------
+// Pair attention kernels: exact tier, bitwise vs scalar and vs the gather
+// path they replace, at every thread count
+// ---------------------------------------------------------------------------
+
+/// Hypergraph over n vertices and m edges: edge 0 has the single vertex 5,
+/// vertex n - 1 is in no edge, the other edges hold 2-9 random vertices.
+hypergraph::Hypergraph AttentionHypergraph(size_t n, size_t m, Rng* rng) {
+  std::vector<std::vector<int>> edges = {{5}};
+  for (size_t e = 1; e < m; ++e) {
+    std::vector<int> members;
+    const size_t size = 2 + rng->NextBounded(8);
+    while (members.size() < size) {
+      const int v = static_cast<int>(rng->NextBounded(n - 1));
+      if (std::find(members.begin(), members.end(), v) == members.end()) {
+        members.push_back(v);
+      }
+    }
+    edges.push_back(members);
+  }
+  return hypergraph::Hypergraph::FromEdges(n, edges).value();
+}
+
+class PairKernelParityTest : public KernelParityTest {
+ protected:
+  /// One head of width d over `hg`'s incidence pairs: the two pair kernels
+  /// against the gather path they replace (bitwise, both ISAs, threads
+  /// 1/2/8), then scalar vs AVX2 on identical inputs.
+  void CheckHead(const hypergraph::Hypergraph& hg, size_t d, Rng* rng) {
+    const size_t n = hg.num_vertices();
+    hypergraph::Hypergraph::IncidencePairs raw = hg.Pairs();
+    const tensor::PairIndex pairs =
+        tensor::PairIndex::Build(raw.vertex, raw.edge, n, hg.num_edges());
+    ASSERT_EQ(pairs.segment_ptr[n - 1], pairs.segment_ptr[n]);  // empty
+    ASSERT_EQ(pairs.source_ptr[1] - pairs.source_ptr[0], 1);  // 1-vertex edge
+    IsaGuard isa_guard;
+    ThreadGuard thread_guard;
+    Matrix wx = ProbeMatrix(n, d, rng, /*specials=*/false);
+    Matrix wh_e = ProbeMatrix(pairs.num_sources, d, rng, /*specials=*/false);
+    Matrix beta_v = Matrix::Randn(d, 1, rng);
+    Matrix beta_e = Matrix::Randn(d, 1, rng);
+    auto run = [&](bool fused) {
+      Matrix score, alpha, agg;
+      if (fused) {
+        Matrix s_v, s_e;
+        tensor::MatMulInto(&s_v, wx, beta_v);
+        tensor::MatMulInto(&s_e, wh_e, beta_e);
+        tensor::PairScoreInto(&score, s_v, s_e, pairs);
+      } else {
+        Matrix gx, ge, se;
+        tensor::GatherRowsInto(&gx, wx, pairs.segment);
+        tensor::GatherRowsInto(&ge, wh_e, pairs.source);
+        tensor::MatMulInto(&score, gx, beta_v);
+        tensor::MatMulInto(&se, ge, beta_e);
+        tensor::AddInto(&score, score, se);
+      }
+      tensor::SegmentSoftmaxInto(&alpha, score, pairs.segment, n);
+      if (fused) {
+        tensor::PairAggregateInto(&agg, wh_e, alpha, pairs);
+      } else {
+        Matrix weighted;
+        tensor::GatherRowsInto(&weighted, wh_e, pairs.source);
+        tensor::MulColBroadcastInto(&weighted, weighted, alpha);
+        tensor::SegmentSumInto(&agg, weighted, pairs.segment, n);
+      }
+      return std::vector<Matrix>{score, agg};
+    };
+    for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
+      SetKernelIsa(isa);
+      for (int threads : {1, 2, 8}) {
+        SetNumThreads(threads);
+        std::vector<Matrix> got = run(true);
+        std::vector<Matrix> want = run(false);
+        const std::string where = std::string(KernelIsaName(isa)) + " d=" +
+                                  std::to_string(d) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_TRUE(BitEqual(got[0], want[0])) << "PairScoreInto " << where;
+        EXPECT_TRUE(BitEqual(got[1], want[1]))
+            << "PairAggregateInto " << where;
+        for (size_t c = 0; c < d; ++c) {
+          EXPECT_EQ(got[1].At(n - 1, c), 0.0f) << "empty vertex " << where;
+        }
+      }
+    }
+    // The per-row scores come from MatMul (fma tier); given the same
+    // scores and weights, both kernels give the same bits under both ISAs.
+    Matrix s_v = tensor::MatMul(wx, beta_v);
+    Matrix s_e = tensor::MatMul(wh_e, beta_e);
+    Matrix alpha = Matrix::Randn(pairs.size(), 1, rng);
+    for (int threads : {1, 2, 8}) {
+      SetNumThreads(threads);
+      ExpectBitwise([&] {
+        Matrix out;
+        tensor::PairScoreInto(&out, s_v, s_e, pairs);
+        return out;
+      }, "PairScoreInto");
+      ExpectBitwise([&] {
+        Matrix out;
+        tensor::PairAggregateInto(&out, wh_e, alpha, pairs);
+        return out;
+      }, "PairAggregateInto");
+    }
+  }
+};
+
+TEST_F(PairKernelParityTest, SmallHypergraphAllHeadWidths) {
+  Rng rng(73);
+  hypergraph::Hypergraph hg = AttentionHypergraph(37, 23, &rng);
+  // One head per width, the widths straddling the 8-float lane.
+  for (size_t d : {1, 7, 8, 9, 33}) CheckHead(hg, d, &rng);
+}
+
+TEST_F(PairKernelParityTest, LargeHypergraphSplitsAcrossThreads) {
+  Rng rng(74);
+  // ~44k pairs: both kernels cut their loops into several parallel chunks.
+  hypergraph::Hypergraph hg = AttentionHypergraph(6001, 8000, &rng);
+  for (size_t d : {9, 33}) CheckHead(hg, d, &rng);
+}
+
+// A multi-head conv's compiled forward stays bitwise equal to its tape
+// forward under both ISAs and at 1, 2 and 8 threads.
+TEST_F(KernelParityTest, MultiHeadConvInferMatchesForward) {
+  Rng rng(79);
+  hypergraph::Hypergraph hg = AttentionHypergraph(37, 23, &rng);
+  core::AdaptiveHypergraphConv conv(hg, 10, 24, &rng, /*use_attention=*/true,
+                                    /*leaky_slope=*/0.2f, /*num_heads=*/3);
+  Matrix x = Matrix::Randn(37, 10, &rng);
+  IsaGuard isa_guard;
+  ThreadGuard thread_guard;
+  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
+    SetKernelIsa(isa);
+    for (int threads : {1, 2, 8}) {
+      SetNumThreads(threads);
+      tensor::Workspace ws;
+      Matrix compiled = conv.Infer(x, &ws);
+      Matrix tape = conv.Forward(autograd::Constant(x)).value();
+      EXPECT_TRUE(BitEqual(compiled, tape))
+          << KernelIsaName(isa) << " threads=" << threads;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Raw primitives: remainder lanes and unaligned views
 // ---------------------------------------------------------------------------
 
@@ -447,6 +592,23 @@ TEST_F(KernelParityTest, RawPrimitivesUnalignedAndRemainder) {
     tensor::simd::ScaleF32(o, a, 1.37f, n);
     for (size_t i = 0; i < n; ++i) r[i] = a[i] * 1.37f;
     EXPECT_EQ(0, std::memcmp(o, r, n * sizeof(float))) << "ScaleF32 n=" << n;
+
+    // Multiply then add, rounded apart (this TU has no FMA to fuse them).
+    std::memcpy(o, a, n * sizeof(float));
+    tensor::simd::AddScaledF32(o, b, 0.6f, n);
+    for (size_t i = 0; i < n; ++i) r[i] = a[i] + b[i] * 0.6f;
+    EXPECT_EQ(0, std::memcmp(o, r, n * sizeof(float)))
+        << "AddScaledF32 n=" << n;
+
+    std::vector<int> ia(n), ib(n);
+    for (size_t i = 0; i < n; ++i) {
+      ia[i] = static_cast<int>(rng.NextBounded(n));
+      ib[i] = static_cast<int>(rng.NextBounded(n));
+    }
+    tensor::simd::GatherAddF32(o, a, ia.data(), b, ib.data(), n);
+    for (size_t i = 0; i < n; ++i) r[i] = a[ia[i]] + b[ib[i]];
+    EXPECT_EQ(0, std::memcmp(o, r, n * sizeof(float)))
+        << "GatherAddF32 n=" << n;
 
     // Reductions: double accumulators, compare to a double reference loop
     // with a tolerance covering the reassociation.

@@ -86,12 +86,12 @@ TEST(GraphOpsTest, DirectedNormalizedAdjacencyRowStochastic) {
 
 TEST(GraphOpsTest, AttentionEdgesIncludeSelfLoops) {
   auto g = graph::Digraph::FromEdges(3, {{0, 1}}).value();
-  AttentionEdges edges = BuildAttentionEdges(g);
+  auto pairs = BuildAttentionPairs(g);
   // 3 self-loops + (0,1) in both aggregation directions.
-  EXPECT_EQ(edges.dst.size(), 5u);
+  EXPECT_EQ(pairs->size(), 5u);
   int self_loops = 0;
-  for (size_t i = 0; i < edges.dst.size(); ++i) {
-    if (edges.dst[i] == edges.src[i]) ++self_loops;
+  for (size_t i = 0; i < pairs->size(); ++i) {
+    if (pairs->segment[i] == pairs->source[i]) ++self_loops;
   }
   EXPECT_EQ(self_loops, 3);
 }
